@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sft_netlist::{Circuit, GateKind, NodeId};
-use sft_sim::{Fault, FaultSim, Simulator};
+use sft_sim::{Fault, FaultSim, FaultSimTables};
 use std::fmt;
 
 /// A transition fault on a stem.
@@ -85,7 +85,7 @@ pub fn transition_campaign(
     seed: u64,
 ) -> TransitionCampaignResult {
     let faults = transition_fault_list(circuit);
-    let sim = Simulator::new(circuit);
+    let tables = FaultSimTables::snapshot(circuit);
     let mut fsim = FaultSim::new(circuit);
     let mut rng = StdRng::seed_from_u64(seed);
     let n = circuit.inputs().len();
@@ -105,7 +105,7 @@ pub fn transition_campaign(
             v1[i] = rng.gen();
             v2[i] = rng.gen();
         }
-        sim.eval_into(&v1, &mut launch_values);
+        tables.soa().eval_into(&v1, &mut launch_values);
         // Detection of the underlying stuck-at faults by v2, per pair bit.
         // detect_block gives the FIRST detecting bit only, so iterate: any
         // detecting bit where the launch condition also holds counts. To
@@ -199,9 +199,10 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
             for p2 in 0..4u64 {
                 let v1 = vec![p1 & 1, p1 >> 1 & 1];
                 let v2 = vec![p2 & 1, p2 >> 1 & 1];
-                let sim = Simulator::new(&c);
-                let launch = sim.eval(&v1);
-                let capture = sim.eval(&v2);
+                let tables = FaultSimTables::snapshot(&c);
+                let (mut launch, mut capture) = (Vec::new(), Vec::new());
+                tables.soa().eval_into(&v1, &mut launch);
+                tables.soa().eval_into(&v2, &mut capture);
                 let mut fsim = FaultSim::new(&c);
                 for (fi, t) in faults.iter().enumerate() {
                     let lv = launch[t.line.index()] & 1 == 1;

@@ -1,39 +1,22 @@
-//! Parallel-pattern single-fault-propagation fault simulation.
+//! Parallel-pattern single-fault-propagation fault simulation: the shared
+//! per-circuit tables, the width-generic simulator state, and the `u64`
+//! [`FaultSim`] face.
 //!
-//! For each pattern block the good machine is simulated once. Faults are
-//! then handled in two phases borrowed from critical-path tracing:
+//! For each pattern block the good machine is simulated once; every fault's
+//! effect is then resolved by the critical-path-tracing engine of the
+//! `ctrace` module: one backward sensitization sweep per fanout-free region
+//! (FFR), and stem observability gated at immediate dominators and cached
+//! per block. Because gate evaluation is bitwise, `detected =
+//! deviation_at_root AND observability_of_root` is exact per pattern. The
+//! tests pin every mask against brute-force faulty-machine simulation and
+//! against an explicit per-fault propagation oracle kept in the crate's
+//! test code.
 //!
-//! 1. **Local deviation.** Each fault's effect is computed at its site and
-//!    walked up its fanout-free region (FFR) — every interior node has
-//!    exactly one consumer pin, so the deviation transforms gate by gate
-//!    with no event queue until it reaches the FFR *root* (first fanout
-//!    stem, primary output, or multi-reference node).
-//! 2. **Stem observability.** For each root actually reached, the root is
-//!    flipped outright and the flip is event-propagated through its fanout
-//!    cone once (the strategy of FSIM \[17\]), yielding the per-pattern mask
-//!    of outputs that observe the root. The mask is cached per block, so
-//!    all faults sharing the root share one cone propagation.
-//!
-//! The full-flip cache pays for itself only while many live faults share a
-//! root. Late in a campaign the survivors are hard faults scattered over
-//! distinct roots, and a full flip propagates much further than the fault's
-//! own deviation (through XOR trees it never masks at all) — there the
-//! engine propagates the actual deviation from the root instead, which is
-//! the exact per-pattern detection mask directly. The choice is a pure
-//! performance heuristic: both paths are bit-exact, so campaign results do
-//! not depend on it.
-//!
-//! Because gate evaluation is bitwise, `detected = deviation_at_root AND
-//! observability_of_root` is exact per pattern — the tests pin this against
-//! brute-force faulty-machine simulation.
-//!
-//! The engine is generic over the simulation word ([`SimWord`]): `u64` keeps
-//! the historical 64-pattern block, [`W256`](crate::W256)/
-//! [`W512`](crate::W512) sweep 4/8 blocks at once with bit-identical
-//! per-pattern results.
+//! The simulator is generic over the simulation word (`SimWord`): `u64`
+//! serves [`FaultSim`]'s 64-pattern blocks, and campaigns sweep four
+//! blocks at once in 256-bit words with bit-identical per-pattern results.
 
-use crate::ctrace::SimEngine;
-use crate::soa::{eval_gate, SoaCircuit, NONE};
+use crate::soa::{eval_gate, SoaCircuit};
 use crate::word::SimWord;
 use crate::{Fault, FaultSite};
 use sft_netlist::Circuit;
@@ -48,8 +31,8 @@ use std::sync::Arc;
 ///
 /// Building these is the expensive part of [`FaultSim::new`]. Parallel
 /// fault-simulation shards (see [`campaign`](crate::campaign)) build the
-/// tables once and hand each worker a cheap clone of the [`Arc`] via
-/// [`WideFaultSim::with_tables`], so per-worker setup is reduced to scratch
+/// tables once and hand each worker a cheap clone of the [`Arc`] (see
+/// [`FaultSim::with_tables`]), so per-worker setup is reduced to scratch
 /// allocation.
 #[derive(Debug)]
 pub struct FaultSimTables {
@@ -62,14 +45,14 @@ impl FaultSimTables {
     /// # Panics
     ///
     /// Panics if the circuit is cyclic.
-    pub fn new(circuit: &Circuit) -> Self {
+    pub(crate) fn new(circuit: &Circuit) -> Self {
         FaultSimTables { soa: SoaCircuit::new(circuit) }
     }
 
     /// The shared per-structural-state tables for `circuit`: a cache hit on
     /// the circuit's version-stamped [`derived`](Circuit::derived) slot when
-    /// the structure has not mutated since the last snapshot, a
-    /// [`new`](Self::new) build (stored back into the slot) otherwise.
+    /// the structure has not mutated since the last snapshot, a fresh build
+    /// (stored back into the slot) otherwise.
     ///
     /// Campaign entry goes through here, so repeated campaigns, test-set
     /// compactions and serve jobs on an unchanged circuit stop paying the
@@ -88,18 +71,16 @@ impl FaultSimTables {
     }
 }
 
-/// A reusable width-generic fault-simulation engine.
+/// A reusable width-generic fault simulator: the shared tables plus the
+/// per-block scratch state of the ctrace engine.
 ///
-/// One [`detect_masks`](Self::detect_masks) call simulates `64 * W::LANES`
-/// patterns; lane `l` of every returned mask is exactly what a `u64` engine
-/// would report for lane `l` of the inputs, so campaign results are
-/// bit-identical across word widths.
+/// One `detect_masks` call simulates `64 * W::LANES` patterns; lane `l` of
+/// every returned mask is exactly what a `u64` simulator would report for
+/// lane `l` of the inputs, so campaign results are bit-identical to a
+/// 64-bit block-by-block run.
 #[derive(Debug)]
-pub struct WideFaultSim<W: SimWord> {
+pub(crate) struct WideFaultSim<W: SimWord> {
     tables: Arc<FaultSimTables>,
-    /// Which detection algorithm [`detect_masks`](Self::detect_masks) runs;
-    /// both are bit-exact, so this is purely a performance dial.
-    pub(crate) engine: SimEngine,
     /// Scratch: good values for the current block.
     pub(crate) good: Vec<W>,
     /// Scratch: faulty values during stem-flip propagation.
@@ -153,27 +134,11 @@ pub struct WideFaultSim<W: SimWord> {
     pub(crate) rheap: BinaryHeap<Reverse<(u32, u32)>>,
 }
 
-/// Minimum number of live faults on one FFR root before the cached
-/// full-flip observability beats per-fault deviation propagation. Below
-/// this, surviving faults are usually hard ones whose deviations die within
-/// a few gates, while a full flip sweeps the whole downstream cone.
-pub(crate) const OBS_SHARE_MIN: u32 = 6;
-
 impl<W: SimWord> WideFaultSim<W> {
-    /// Prepares a fault simulator for `circuit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit is cyclic.
-    pub fn new(circuit: &Circuit) -> Self {
-        Self::with_tables(FaultSimTables::snapshot(circuit))
-    }
-
     /// Prepares a fault simulator reusing already-built [`FaultSimTables`].
-    pub fn with_tables(tables: Arc<FaultSimTables>) -> Self {
+    pub(crate) fn with_tables(tables: Arc<FaultSimTables>) -> Self {
         WideFaultSim {
             tables,
-            engine: SimEngine::default(),
             good: Vec::new(),
             faulty: Vec::new(),
             deviated: Vec::new(),
@@ -199,42 +164,22 @@ impl<W: SimWord> WideFaultSim<W> {
         }
     }
 
-    /// Selects the detection engine (builder style). Both engines return
-    /// bit-identical masks; see [`SimEngine`].
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Selects the detection engine in place.
-    pub fn set_engine(&mut self, engine: SimEngine) {
-        self.engine = engine;
-    }
-
-    /// The engine currently selected.
-    pub fn engine(&self) -> SimEngine {
-        self.engine
-    }
-
     /// The shared propagation tables.
-    pub fn tables(&self) -> &Arc<FaultSimTables> {
+    pub(crate) fn tables(&self) -> &Arc<FaultSimTables> {
         &self.tables
     }
 
-    /// Per-block prologue shared by both engines: good-machine evaluation,
-    /// scratch sizing, epoch bump, and the live-fault share count per FFR
-    /// root (the cached observability is only worth computing for roots
-    /// where the cost is shared widely — see `OBS_SHARE_MIN`).
+    /// Per-block prologue: good-machine evaluation, scratch sizing, epoch
+    /// bump, and the live-fault share count per FFR root (the cached
+    /// observability is only worth computing for roots where the cost is
+    /// shared widely — see `OBS_SHARE_MIN_CT`).
     pub(crate) fn begin_block(&mut self, soa: &SoaCircuit, faults: &[Fault], input_words: &[W]) {
-        soa.eval_into(input_words, &mut self.good);
+        soa.eval_block(input_words, &mut self.good);
         let n = soa.len();
-        // `faulty` starts as a copy of the good values (same O(n) fill the
-        // old zero-init paid): the ctrace engine reads `faulty` directly as
-        // "the current value" — branchless, one load per pin — and every
-        // propagation restores its dirty entries, keeping the invariant
-        // `faulty[x] == good[x]` for non-deviated `x`. The wide engine
-        // gates reads on `deviated` and never reads an undeviated `faulty`
-        // slot, so the init value is indifferent to it.
+        // `faulty` starts as a copy of the good values: the ctrace engine
+        // reads `faulty` directly as "the current value" — branchless, one
+        // load per pin — and every propagation restores its dirty entries,
+        // keeping the invariant `faulty[x] == good[x]` for non-deviated `x`.
         self.faulty.clear();
         self.faulty.extend_from_slice(&self.good);
         self.deviated.clear();
@@ -269,7 +214,7 @@ impl<W: SimWord> WideFaultSim<W> {
         }
     }
 
-    /// Per-block epilogue shared by both engines.
+    /// Per-block epilogue.
     pub(crate) fn end_block(&mut self) {
         for r in self.shared_roots.drain(..) {
             self.root_share[r as usize] = 0;
@@ -300,144 +245,12 @@ impl<W: SimWord> WideFaultSim<W> {
             }
         }
     }
-
-    /// Simulates one block of `64 * W::LANES` patterns and returns, for each
-    /// fault, the word whose set bits are the patterns that detect it.
-    ///
-    /// Dispatches on the configured [`SimEngine`]; the two engines return
-    /// bit-identical masks (pinned by the tests), differing only in cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_words.len()` differs from the number of inputs.
-    pub fn detect_masks(&mut self, faults: &[Fault], input_words: &[W]) -> Vec<W> {
-        match self.engine {
-            SimEngine::Wide => self.detect_masks_wide(faults, input_words),
-            SimEngine::Ctrace => self.detect_masks_ctrace(faults, input_words),
-        }
-    }
-
-    /// The PR 6 algorithm: per-fault FFR walk, then full-flip or
-    /// actual-deviation propagation per root.
-    fn detect_masks_wide(&mut self, faults: &[Fault], input_words: &[W]) -> Vec<W> {
-        let tables = Arc::clone(&self.tables);
-        let soa = &tables.soa;
-        self.begin_block(soa, faults, input_words);
-        let mut results = Vec::with_capacity(faults.len());
-        for fault in faults {
-            // Phase 1: the deviation the fault causes at its own site.
-            let (mut node, mut dev) = self.site_deviation(soa, fault);
-            // Walk the deviation up the fanout-free chain to the root.
-            while !dev.is_zero() {
-                let head = soa.ffr_head[node as usize];
-                if head == NONE {
-                    break;
-                }
-                let h = head as usize;
-                let flipped = node;
-                let out = eval_gate(soa.kinds[h], soa.fanin_slice(h), |_, f| {
-                    let v = self.good[f as usize];
-                    if f == flipped {
-                        v.xor(dev)
-                    } else {
-                        v
-                    }
-                });
-                dev = out.xor(self.good[h]);
-                node = head;
-            }
-            // Phase 2: detection = deviation at the root gated by the
-            // root's observability. Reuse the cached full-flip mask when it
-            // exists (or enough live faults share the root to amortise it);
-            // otherwise propagating the actual deviation is the detection
-            // mask directly, and dies as early as the deviation does.
-            let detected = if dev.is_zero() {
-                W::ZERO
-            } else {
-                let r = node as usize;
-                if self.obs_epoch[r] == self.epoch {
-                    dev.and(self.obs[r])
-                } else if self.root_share[r] >= OBS_SHARE_MIN {
-                    dev.and(self.stem_obs(soa, node))
-                } else {
-                    self.propagate_deviation(soa, node, dev)
-                }
-            };
-            results.push(detected);
-        }
-        self.end_block();
-        results
-    }
-
-    /// The per-pattern mask of outputs observing a flip of `root`, computed
-    /// by one event-driven propagation of the full flip and cached for the
-    /// current block.
-    pub(crate) fn stem_obs(&mut self, soa: &SoaCircuit, root: u32) -> W {
-        let r = root as usize;
-        if self.obs_epoch[r] == self.epoch {
-            return self.obs[r];
-        }
-        let detected = self.propagate_deviation(soa, root, W::ONES);
-        self.obs[r] = detected;
-        self.obs_epoch[r] = self.epoch;
-        detected
-    }
-
-    /// Event-propagates a deviation of `dev` at `root` through its fanout
-    /// cone and returns the per-pattern mask of outputs that change — the
-    /// exact detection mask of any fault producing `dev` at `root`. With
-    /// `dev = ONES` this is the root's full-flip observability.
-    pub(crate) fn propagate_deviation(&mut self, soa: &SoaCircuit, root: u32, dev: W) -> W {
-        let r = root as usize;
-        let mut detected = W::ZERO;
-        self.faulty[r] = self.good[r].xor(dev);
-        self.deviated[r] = true;
-        self.dirty.push(root);
-        if soa.output_mask[r] {
-            detected = dev;
-        }
-        for &g in soa.fanout_slice(r) {
-            self.heap.push(Reverse((soa.topo_pos[g as usize], g)));
-        }
-        // Propagate events in topological order.
-        while let Some(Reverse((_, id))) = self.heap.pop() {
-            let i = id as usize;
-            // Deduplicate: a node may be queued via several fanins.
-            if self.deviated[i] {
-                continue;
-            }
-            let v = eval_gate(soa.kinds[i], soa.fanin_slice(i), |_, f| {
-                let fi = f as usize;
-                if self.deviated[fi] {
-                    self.faulty[fi]
-                } else {
-                    self.good[fi]
-                }
-            });
-            if v == self.good[i] {
-                continue;
-            }
-            self.faulty[i] = v;
-            self.deviated[i] = true;
-            self.dirty.push(id);
-            if soa.output_mask[i] {
-                detected = detected.or(v.xor(self.good[i]));
-            }
-            for &g in soa.fanout_slice(i) {
-                self.heap.push(Reverse((soa.topo_pos[g as usize], g)));
-            }
-        }
-        for id in self.dirty.drain(..) {
-            self.deviated[id as usize] = false;
-        }
-        detected
-    }
 }
 
 /// A reusable 64-pattern fault-simulation engine bound to one circuit.
 ///
-/// This is the `u64` face of [`WideFaultSim`], kept for callers that work a
-/// single 64-pattern block at a time (ATPG, delay simulation).
+/// This is the `u64` face of the campaign simulator, for callers that work
+/// a single 64-pattern block at a time (ATPG, delay simulation).
 ///
 /// # Examples
 ///
@@ -479,18 +292,6 @@ impl<'c> FaultSim<'c> {
         FaultSim { inner: WideFaultSim::with_tables(tables), _circuit: PhantomData }
     }
 
-    /// Selects the detection engine (builder style); both engines return
-    /// bit-identical results — see [`SimEngine`].
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.inner.set_engine(engine);
-        self
-    }
-
-    /// Selects the detection engine in place.
-    pub fn set_engine(&mut self, engine: SimEngine) {
-        self.inner.set_engine(engine);
-    }
-
     /// Simulates one 64-pattern block and reports, for each fault, the
     /// lowest pattern bit (0–63) at which it is detected, or `None`.
     ///
@@ -518,7 +319,7 @@ impl<'c> FaultSim<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::word::{W256, W512};
+    use crate::word::{SimWord, W256};
     use crate::{fault_list, pattern_block};
     use sft_circuits::random::{random_circuit, RandomCircuitConfig};
     use sft_netlist::bench_format::parse;
@@ -667,8 +468,8 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
 
     #[test]
     fn wide_words_are_bit_identical_to_u64_blocks() {
-        // One W256 sweep over blocks 4*k..4*k+3 must equal four u64 sweeps,
-        // lane by lane — same for W512 and eight blocks.
+        // One W256 sweep over four blocks must equal four u64 sweeps, lane
+        // by lane.
         let c = random_circuit(&RandomCircuitConfig {
             gates: 250,
             seed: 5,
@@ -678,29 +479,19 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         let num_inputs = c.inputs().len();
         let tables = Arc::new(FaultSimTables::new(&c));
         let mut narrow = WideFaultSim::<u64>::with_tables(Arc::clone(&tables));
-        let mut wide256 = WideFaultSim::<W256>::with_tables(Arc::clone(&tables));
-        let mut wide512 = WideFaultSim::<W512>::with_tables(Arc::clone(&tables));
+        let mut wide = WideFaultSim::<W256>::with_tables(tables);
 
         let blocks: Vec<Vec<u64>> =
-            (0..W512::LANES as u64).map(|b| pattern_block(0x5f7, b, num_inputs)).collect();
+            (0..W256::LANES as u64).map(|b| pattern_block(0x5f7, b, num_inputs)).collect();
         let per_block: Vec<Vec<u64>> =
             blocks.iter().map(|words| narrow.detect_masks(&faults, words)).collect();
 
-        let in256: Vec<W256> =
+        let inputs: Vec<W256> =
             (0..num_inputs).map(|i| W256::from_lanes(|l| blocks[l][i])).collect();
-        let m256 = wide256.detect_masks(&faults, &in256);
-        for (fi, m) in m256.iter().enumerate() {
-            for (l, block) in per_block.iter().enumerate().take(W256::LANES) {
-                assert_eq!(m.lane(l), block[fi], "W256 fault {fi} lane {l}");
-            }
-        }
-
-        let in512: Vec<W512> =
-            (0..num_inputs).map(|i| W512::from_lanes(|l| blocks[l][i])).collect();
-        let m512 = wide512.detect_masks(&faults, &in512);
-        for (fi, m) in m512.iter().enumerate() {
-            for (l, block) in per_block.iter().enumerate().take(W512::LANES) {
-                assert_eq!(m.lane(l), block[fi], "W512 fault {fi} lane {l}");
+        let masks = wide.detect_masks(&faults, &inputs);
+        for (fi, m) in masks.iter().enumerate() {
+            for (l, block) in per_block.iter().enumerate() {
+                assert_eq!(m.lane(l), block[fi], "fault {fi} lane {l}");
             }
         }
     }

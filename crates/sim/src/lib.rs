@@ -2,29 +2,29 @@
 //!
 //! This crate reimplements the fault-simulation substrate the paper relies
 //! on (FSIM \[17\] — Lee & Ha's parallel-pattern single-fault-propagation
-//! simulator) in safe Rust:
+//! simulator) in safe Rust, with one production engine:
 //!
-//! - [`Simulator`] — 64-way bit-parallel good-machine simulation;
 //! - [`Fault`]/[`FaultSite`] — single stuck-at faults on stems and fanout
 //!   branches, with [`fault_list`] and equivalence [`collapse`];
-//! - [`FaultSim`]/[`WideFaultSim`] — parallel-pattern single-fault
-//!   propagation restricted to the fault's fanout cone, with fanout-free
-//!   regions grouped so faults sharing a stem share one cone propagation
-//!   ([`FaultSimTables`] holds the read-only [`SoaCircuit`] precomputation
-//!   so concurrent simulators share one copy). Two bit-identical engines
-//!   ([`SimEngine`]): the default critical-path-tracing engine derives all
-//!   FFR-internal detections from one backward sensitization sweep per
-//!   stem and gates stem observability at immediate dominators, while
-//!   `wide` keeps the explicit per-fault propagation as an escape hatch;
-//! - [`SimWord`] — the simulation word abstraction: `u64` (64 patterns per
-//!   sweep) or the auto-vectorizable wide blocks [`W256`]/[`W512`];
+//! - [`FaultSimTables`] — the read-only per-circuit tables every simulator
+//!   shares: the struct-of-arrays [`SoaCircuit`] snapshot (packed kinds,
+//!   flat fanin/fanout slabs, fanout-free-region and dominator links),
+//!   cached per circuit version by [`FaultSimTables::snapshot`];
+//!   [`SoaCircuit::eval_into`] is the 64-pattern good-machine simulator;
+//! - [`FaultSim`] — 64-pattern single-fault propagation by critical-path
+//!   tracing: all detections inside a fanout-free region come from one
+//!   backward sensitization sweep per region, and stem observability is
+//!   gated at immediate dominators and cached per block;
 //! - [`campaign`] — the random-pattern testability experiment driver used by
 //!   Table 6 of the paper (fault coverage, remaining faults, last effective
-//!   pattern). Campaigns run pattern blocks on
-//!   [`CampaignConfig::jobs`] worker threads at a configurable word width
-//!   ([`SimWidth`]) with bit-identical results at any thread count and any
-//!   width ([`pattern_block`] derives each block's patterns purely from
-//!   `(seed, block)`).
+//!   pattern). Campaigns sweep 256 patterns per pass on
+//!   [`CampaignConfig::jobs`] worker threads with bit-identical results at
+//!   any thread count ([`pattern_block`] derives each block's patterns
+//!   purely from `(seed, block)`).
+//!
+//! The tests pin the engine against brute-force faulty-machine simulation
+//! and against an independent explicit-propagation oracle that exists only
+//! in test builds.
 //!
 //! # Examples
 //!
@@ -45,16 +45,14 @@ mod campaign;
 mod ctrace;
 mod fault;
 mod fsim;
-mod logic;
 mod measures;
+#[cfg(test)]
+mod oracle;
 mod soa;
 mod word;
 
-pub use campaign::{campaign, pattern_block, CampaignConfig, CampaignResult, SimWidth};
-pub use ctrace::SimEngine;
+pub use campaign::{campaign, pattern_block, CampaignConfig, CampaignResult};
 pub use fault::{collapse, fault_list, Fault, FaultSite};
-pub use fsim::{FaultSim, FaultSimTables, WideFaultSim};
-pub use logic::Simulator;
+pub use fsim::{FaultSim, FaultSimTables};
 pub use measures::{cop_measures, CopMeasures};
-pub use soa::{PackedKind, SoaCircuit};
-pub use word::{SimWord, W256, W512};
+pub use soa::SoaCircuit;

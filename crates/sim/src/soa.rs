@@ -19,7 +19,7 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// A gate kind packed into one byte for cache-dense kind arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum PackedKind {
+pub(crate) enum PackedKind {
     /// A primary input.
     Input = 0,
     /// Constant logic 0.
@@ -43,8 +43,6 @@ pub enum PackedKind {
     /// Complemented parity.
     Xnor,
 }
-
-impl PackedKind {}
 
 impl From<GateKind> for PackedKind {
     fn from(kind: GateKind) -> Self {
@@ -237,7 +235,7 @@ impl SoaCircuit {
     /// disappears entirely. Fragmented or rewired circuits fall back to a
     /// span-walk copy and a flat Kahn pass over the CSR; no path touches
     /// per-node heap vectors or the name table. Differentially tested
-    /// against [`rebuild`](Self::rebuild).
+    /// against a per-node walk with a from-scratch topological sort.
     ///
     /// # Panics
     ///
@@ -283,45 +281,7 @@ impl SoaCircuit {
         Self::finish(circuit, kinds, fanin_off, fanins, order, topo_pos)
     }
 
-    /// Builds the snapshot from `circuit` through the pre-arena algorithm:
-    /// a per-node walk through [`Circuit::iter`] and a from-scratch
-    /// [`Circuit::topo_order`] (which allocates per-node fanout vectors).
-    ///
-    /// Kept as the differential-testing oracle for [`new`](Self::new) and
-    /// as the campaign-entry baseline the arena speedup is measured
-    /// against; engines never call it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit is cyclic.
-    pub fn rebuild(circuit: &Circuit) -> Self {
-        let n = circuit.len();
-        assert!(n < NONE as usize, "circuit too large for u32 node ids");
-
-        let mut kinds = Vec::with_capacity(n);
-        let mut fanin_off = Vec::with_capacity(n + 1);
-        let total_fanins: usize = circuit.iter().map(|(_, node)| node.fanins().len()).sum();
-        assert!(total_fanins < NONE as usize, "fanin slab too large for u32 offsets");
-        let mut fanins = Vec::with_capacity(total_fanins);
-        fanin_off.push(0);
-        for (_, node) in circuit.iter() {
-            kinds.push(PackedKind::from(node.kind()));
-            fanins.extend(node.fanins().iter().map(|f| f.index() as u32));
-            fanin_off.push(fanins.len() as u32);
-        }
-
-        let topo = circuit.topo_order().expect("combinational circuit");
-        let mut order = Vec::with_capacity(n);
-        let mut topo_pos = vec![0u32; n];
-        for (pos, &id) in topo.iter().enumerate() {
-            order.push(id.index() as u32);
-            topo_pos[id.index()] = pos as u32;
-        }
-
-        Self::finish(circuit, kinds, fanin_off, fanins, order, topo_pos)
-    }
-
-    /// Shared tail of [`new`](Self::new) and [`rebuild`](Self::rebuild):
+    /// Shared tail of [`new`](Self::new) and the tests' reference build:
     /// levels, fanout CSR, FFR structure and dominators from the fanin CSR
     /// plus a valid topological order. Every derived quantity here is
     /// independent of *which* valid topological order was supplied.
@@ -500,18 +460,8 @@ impl SoaCircuit {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.kinds.len()
-    }
-
-    /// Whether the snapshot has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
-    }
-
-    /// Number of primary inputs.
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
     }
 
     /// The fanout-free-region root that absorbs fault effects at `node`
@@ -550,18 +500,36 @@ impl SoaCircuit {
         &self.fanouts[self.fanout_off[n] as usize..self.fanout_off[n + 1] as usize]
     }
 
-    /// Simulates `64 * W::LANES` patterns in one topological sweep;
-    /// `input_words[i]` carries the values of primary input `i`. Fills
-    /// `values` with one word per node.
+    /// Good-machine simulation of 64 patterns in one topological sweep:
+    /// `input_words[i]` carries the 64 values of primary input `i` (bit `p`
+    /// belongs to pattern `p`). Fills `values` with one word per node,
+    /// indexed by node id, reusing the buffer.
     ///
-    /// Bit-for-bit this matches [`Simulator::eval`](crate::Simulator::eval)
-    /// lane by lane: lane `l` of every word is exactly the 64-bit sweep of
-    /// lane `l` of the inputs.
+    /// # Examples
+    ///
+    /// ```
+    /// use sft_netlist::bench_format::parse;
+    /// use sft_sim::FaultSimTables;
+    ///
+    /// let c = parse("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n", "x")?;
+    /// let mut values = Vec::new();
+    /// // Pattern bit 0: a=1,b=0; bit 1: a=1,b=1.
+    /// FaultSimTables::snapshot(&c).soa().eval_into(&[0b11, 0b10], &mut values);
+    /// assert_eq!(values[c.outputs()[0].index()], 0b01);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `input_words.len()` differs from the number of inputs.
-    pub fn eval_into<W: SimWord>(&self, input_words: &[W], values: &mut Vec<W>) {
+    pub fn eval_into(&self, input_words: &[u64], values: &mut Vec<u64>) {
+        self.eval_block(input_words, values);
+    }
+
+    /// [`eval_into`](Self::eval_into) over `64 * W::LANES` patterns: lane
+    /// `l` of every word is exactly the 64-bit sweep of lane `l` of the
+    /// inputs.
+    pub(crate) fn eval_block<W: SimWord>(&self, input_words: &[W], values: &mut Vec<W>) {
         assert_eq!(input_words.len(), self.num_inputs, "input word count mismatch");
         values.clear();
         values.resize(self.len(), W::ZERO);
@@ -581,10 +549,47 @@ impl SoaCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::word::{W256, W512};
-    use crate::Simulator;
+    use crate::word::W256;
     use sft_circuits::random::{random_circuit, RandomCircuitConfig};
     use sft_netlist::bench_format::parse;
+
+    impl SoaCircuit {
+        /// Builds the snapshot from `circuit` through the pre-arena algorithm:
+        /// a per-node walk through [`Circuit::iter`] and a from-scratch
+        /// [`Circuit::topo_order`] (which allocates per-node fanout vectors).
+        ///
+        /// The differential-testing oracle for [`new`](Self::new).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the circuit is cyclic.
+        fn rebuild(circuit: &Circuit) -> Self {
+            let n = circuit.len();
+            assert!(n < NONE as usize, "circuit too large for u32 node ids");
+
+            let mut kinds = Vec::with_capacity(n);
+            let mut fanin_off = Vec::with_capacity(n + 1);
+            let total_fanins: usize = circuit.iter().map(|(_, node)| node.fanins().len()).sum();
+            assert!(total_fanins < NONE as usize, "fanin slab too large for u32 offsets");
+            let mut fanins = Vec::with_capacity(total_fanins);
+            fanin_off.push(0);
+            for (_, node) in circuit.iter() {
+                kinds.push(PackedKind::from(node.kind()));
+                fanins.extend(node.fanins().iter().map(|f| f.index() as u32));
+                fanin_off.push(fanins.len() as u32);
+            }
+
+            let topo = circuit.topo_order().expect("combinational circuit");
+            let mut order = Vec::with_capacity(n);
+            let mut topo_pos = vec![0u32; n];
+            for (pos, &id) in topo.iter().enumerate() {
+                order.push(id.index() as u32);
+                topo_pos[id.index()] = pos as u32;
+            }
+
+            Self::finish(circuit, kinds, fanin_off, fanins, order, topo_pos)
+        }
+    }
 
     const C17: &str = "\
 INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
@@ -592,21 +597,25 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
 22 = NAND(10, 16)\n23 = NAND(16, 19)\n";
 
     #[test]
-    fn eval_matches_simulator_on_random_circuit() {
+    fn eval_matches_scalar_evaluation_on_random_circuit() {
         let c = random_circuit(&RandomCircuitConfig {
             gates: 300,
             seed: 7,
             ..RandomCircuitConfig::default()
         });
         let soa = SoaCircuit::new(&c);
-        let sim = Simulator::new(&c);
         let words: Vec<u64> = (0..c.inputs().len())
             .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))
             .collect();
-        let reference = sim.eval(&words);
         let mut values = Vec::new();
         soa.eval_into(&words, &mut values);
-        assert_eq!(values, reference);
+        for p in 0..64 {
+            let assignment: Vec<bool> = words.iter().map(|w| w >> p & 1 == 1).collect();
+            let expect = c.eval_assignment(&assignment);
+            for (o, out) in c.outputs().iter().enumerate() {
+                assert_eq!(values[out.index()] >> p & 1 == 1, expect[o], "pattern {p} output {o}");
+            }
+        }
 
         // Wide evaluation: each lane carries an independent 64-pattern block
         // and must match a scalar sweep of that lane exactly.
@@ -616,28 +625,12 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         let wide_inputs: Vec<W256> =
             (0..words.len()).map(|i| W256::from_lanes(|l| lanes[l][i])).collect();
         let mut wide = Vec::new();
-        soa.eval_into(&wide_inputs, &mut wide);
+        soa.eval_block(&wide_inputs, &mut wide);
+        let mut scalar = Vec::new();
         for (l, lane_words) in lanes.iter().enumerate() {
-            let scalar = sim.eval(lane_words);
+            soa.eval_into(lane_words, &mut scalar);
             for (i, &w) in wide.iter().enumerate() {
                 assert_eq!(w.lane(l), scalar[i], "node {i} lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_widths_agree_lane_for_lane() {
-        let c = parse(C17, "c17").unwrap();
-        let soa = SoaCircuit::new(&c);
-        let base: Vec<u64> = (0..5).map(|i| 0xA5A5_5A5A_F00D_BEEFu64 >> i).collect();
-        let w256: Vec<W256> = base.iter().map(|&w| W256::from_lanes(|l| w ^ l as u64)).collect();
-        let w512: Vec<W512> = base.iter().map(|&w| W512::from_lanes(|l| w ^ l as u64)).collect();
-        let (mut v256, mut v512) = (Vec::new(), Vec::new());
-        soa.eval_into(&w256, &mut v256);
-        soa.eval_into(&w512, &mut v512);
-        for i in 0..soa.len() {
-            for l in 0..W256::LANES {
-                assert_eq!(v256[i].lane(l), v512[i].lane(l), "node {i} lane {l}");
             }
         }
     }
@@ -672,7 +665,7 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
     /// order with `topo_pos` as its inverse and FFR membership correctly
     /// grouped (root first, every member after its head). The fast arena
     /// path may pick a different — equally valid — topological order than
-    /// the legacy rebuild, which changes no engine result.
+    /// the reference rebuild, which changes no engine result.
     fn assert_soa_equiv(a: &SoaCircuit, b: &SoaCircuit) {
         assert_eq!(a.kinds, b.kinds);
         assert_eq!(a.fanin_off, b.fanin_off);
@@ -785,7 +778,7 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         let c = parse(C17, "c17").unwrap();
         let soa = SoaCircuit::new(&c);
         assert_eq!(soa.len(), c.len());
-        assert_eq!(soa.num_inputs(), 5);
+        assert_eq!(soa.num_inputs, 5);
         // Node "10" feeds only gate "22": interior to 22's FFR.
         let find = |name: &str| {
             c.iter().find(|(_, n)| n.name() == Some(name)).map(|(id, _)| id.index()).unwrap()

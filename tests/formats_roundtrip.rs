@@ -24,7 +24,7 @@ use sft_circuits::random::{random_circuit, RandomCircuitConfig};
 use sft_circuits::suite;
 use sft_io::{parse_bytes, verilog, write_bytes, Format, WriteOptions};
 use sft_netlist::{Circuit, NodeId};
-use sft_sim::{pattern_block, Fault, FaultSim};
+use sft_sim::{pattern_block, Fault, FaultSim, FaultSimTables};
 use std::collections::HashMap;
 
 const SIG_SEED: u64 = 0x10F0_0815;
@@ -41,11 +41,12 @@ fn detect_signature(c: &Circuit, faults: &[Fault]) -> Vec<Vec<u64>> {
 /// Output words over the deterministic pattern blocks (the fault-free half
 /// of the signature).
 fn function_signature(c: &Circuit) -> Vec<Vec<u64>> {
-    let sim = sft_sim::Simulator::new(c);
+    let tables = FaultSimTables::snapshot(c);
+    let mut values = Vec::new();
     (0..SIG_BLOCKS)
         .map(|b| {
-            let values = sim.eval(&pattern_block(SIG_SEED, b, c.inputs().len()));
-            sim.output_words(&values)
+            tables.soa().eval_into(&pattern_block(SIG_SEED, b, c.inputs().len()), &mut values);
+            c.outputs().iter().map(|o| values[o.index()]).collect()
         })
         .collect()
 }

@@ -1,9 +1,8 @@
 //! Scale-tier integration tests: the `sft gen` generators must be
-//! deterministic, valid, `.bench`-canonical, and the wide-word campaign
-//! engine must be bit-identical across word widths and thread counts on a
-//! circuit large enough that fault-dropping, FFR stem grouping and the
-//! parallel merge all engage (the CI-sized version of the `BENCH_scale`
-//! acceptance run).
+//! deterministic, valid, `.bench`-canonical, and the 256-bit campaign must
+//! equal a 64-bit block-by-block reference at any thread count on a
+//! circuit large enough that fault dropping, FFR stem grouping and the
+//! parallel merge all engage.
 
 use proptest::prelude::*;
 use sft::circuits::gen::{alu, deep_dag, stitched, wide_adder, wide_multiplier};
@@ -11,7 +10,9 @@ use sft::circuits::random::RandomCircuitConfig;
 use sft::netlist::bench_format::{parse, write};
 use sft::netlist::Circuit;
 use sft::par::Jobs;
-use sft::sim::{campaign, fault_list, CampaignConfig, SimWidth};
+use sft::sim::{
+    campaign, fault_list, pattern_block, CampaignConfig, CampaignResult, Fault, FaultSim,
+};
 
 /// The writer contract on generated netlists: one round trip may
 /// materialize output aliases as named `BUF` gates, but the text is a
@@ -85,34 +86,62 @@ fn committed_corpus_matches_regenerated_output() {
     }
 }
 
+/// The serial 64-bit reference campaign: one `FaultSim` block at a time,
+/// detected faults dropped after every block, with the campaign's seeded
+/// pattern stream, first-detection accounting and tail-block masking (no
+/// plateau rule; the callers disable it).
+fn per_block_reference(c: &Circuit, faults: &[Fault], cfg: &CampaignConfig) -> CampaignResult {
+    assert_eq!(cfg.plateau, 0, "the reference does not implement the plateau rule");
+    let mut fsim = FaultSim::new(c);
+    let mut detection: Vec<Option<u64>> = vec![None; faults.len()];
+    let mut alive: Vec<usize> = (0..faults.len()).collect();
+    let mut applied = 0u64;
+    let mut block = 0u64;
+    while applied < cfg.max_patterns && !alive.is_empty() {
+        let size = (cfg.max_patterns - applied).min(64);
+        let keep = if size < 64 { (1u64 << size) - 1 } else { u64::MAX };
+        let live: Vec<Fault> = alive.iter().map(|&i| faults[i]).collect();
+        let words = pattern_block(cfg.seed, block, c.inputs().len());
+        for (&fi, mask) in alive.iter().zip(fsim.detect_masks(&live, &words)) {
+            if mask & keep != 0 {
+                detection[fi] = Some(applied + u64::from((mask & keep).trailing_zeros()));
+            }
+        }
+        alive.retain(|&fi| detection[fi].is_none());
+        applied += size;
+        block += 1;
+    }
+    CampaignResult {
+        total_faults: faults.len(),
+        detected: detection.iter().flatten().count(),
+        last_effective_pattern: detection.iter().flatten().max().copied(),
+        detection_pattern: detection,
+        patterns_applied: applied,
+    }
+}
+
 /// The acceptance bit-identity check at CI-quick size: a ~50K-gate stitched
-/// circuit, campaign results compared between the 64-bit serial reference
-/// and wide words (256- and 512-bit) at 1 and 4 threads. Any divergence in
-/// detection indices, effective-pattern statistics or stop points fails.
+/// circuit, campaign results (256-bit strides) compared with the serial
+/// 64-bit per-block `FaultSim` reference at 1 and 4 threads. Any
+/// divergence in detection indices, effective-pattern statistics or stop
+/// points fails.
 #[test]
 fn wide_words_and_threads_are_bit_identical_on_50k_gates() {
     let core = RandomCircuitConfig { inputs: 32, outputs: 16, gates: 260, window: 56, seed: 0xB1 };
     let c = stitched(210, &core);
     assert!(c.two_input_gate_count() >= 50_000, "{} gates", c.two_input_gate_count());
     let faults = fault_list(&c);
-    let cfg = |width: SimWidth, jobs: Jobs| CampaignConfig {
+    let cfg = |jobs: Jobs| CampaignConfig {
         max_patterns: 192,
         plateau: 0,
         seed: 0x51f7,
         jobs,
-        width,
         ..CampaignConfig::default()
     };
-    let reference = campaign(&c, &faults, &cfg(SimWidth::W64, Jobs::serial()));
+    let reference = per_block_reference(&c, &faults, &cfg(Jobs::serial()));
     assert!(reference.detected > 0, "campaign must detect something at this size");
-    for width in [SimWidth::W64, SimWidth::W256, SimWidth::W512] {
-        for jobs in [Jobs::serial(), Jobs::new(4)] {
-            if width == SimWidth::W64 && jobs.is_serial() {
-                continue;
-            }
-            let r = campaign(&c, &faults, &cfg(width, jobs));
-            assert_eq!(reference, r, "width={width:?} jobs={jobs:?}");
-        }
+    for jobs in [Jobs::serial(), Jobs::new(4)] {
+        assert_eq!(reference, campaign(&c, &faults, &cfg(jobs)), "jobs={jobs:?}");
     }
 }
 
