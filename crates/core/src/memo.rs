@@ -40,17 +40,39 @@
 //! two P-equivalent tables can legitimately answer differently and a
 //! class-keyed cache would change results. Those queries pass straight
 //! through to [`identify`].
+//!
+//! A third table holds the **costs** of the certificates identification
+//! hands out. [`unit_cost`] and [`cover_cost`] build the unit in a scratch
+//! circuit and count its paths; both are pure functions of the
+//! certificate(s), and a resynthesis run asks for the same few thousand
+//! certificates hundreds of thousands of times. The resynthesis search
+//! serves them from one process-wide table keyed by the certificate itself
+//! (never by class — the bounds and permutation decide the cost).
+//! [`identify_cache_clear`] empties it with the other two; it is neither
+//! persisted nor counted in [`identify_cache_stats`].
 
+use crate::cover::cover_cost;
 use crate::identify::{identify, IdentifyMethod, IdentifyOptions};
+use crate::unit::{unit_cost, UnitCost};
 use crate::ComparisonSpec;
 use sft_canon::persist::{self, ByteReader, PersistError};
 use sft_canon::{signature_of, CacheStats, SigCache, Signature};
 use sft_truth::TruthTable;
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 static CLASS: OnceLock<SigCache<Option<ComparisonSpec>>> = OnceLock::new();
 static EXACT: OnceLock<SigCache<Option<ComparisonSpec>>> = OnceLock::new();
+static COSTS: OnceLock<Mutex<CostTable>> = OnceLock::new();
+
+/// Memoized unit and cover costs; `None` records a certificate the builder
+/// rejected.
+#[derive(Default)]
+struct CostTable {
+    units: HashMap<ComparisonSpec, Option<Arc<UnitCost>>>,
+    covers: HashMap<Vec<ComparisonSpec>, Option<Arc<UnitCost>>>,
+}
 
 fn class_cache() -> &'static SigCache<Option<ComparisonSpec>> {
     CLASS.get_or_init(SigCache::new)
@@ -58,6 +80,12 @@ fn class_cache() -> &'static SigCache<Option<ComparisonSpec>> {
 
 fn exact_cache() -> &'static SigCache<Option<ComparisonSpec>> {
     EXACT.get_or_init(SigCache::new)
+}
+
+/// The cost table. Every update is a single insert of a finished value, so
+/// a lock poisoned by a panicking holder still guards a consistent map.
+fn cost_table() -> MutexGuard<'static, CostTable> {
+    COSTS.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Distinguishes option sets that could cache different answers. Only the
@@ -138,12 +166,45 @@ pub fn identify_cache_stats() -> CacheStats {
     }
 }
 
-/// Clears both process-wide identification tables and their counters.
-/// Benchmark harnesses call this before each timed run so earlier runs (or
-/// other circuits) do not pre-warm the tables.
+/// Clears both process-wide identification tables and their counters, and
+/// the cost table. Benchmark harnesses call this before each timed run so
+/// earlier runs (or other circuits) do not pre-warm the tables.
 pub fn identify_cache_clear() {
     class_cache().clear();
     exact_cache().clear();
+    let mut costs = cost_table();
+    costs.units.clear();
+    costs.covers.clear();
+}
+
+/// Memoized [`unit_cost`]: the same value, computed once per certificate
+/// for the lifetime of the process (or until [`identify_cache_clear`]).
+/// `None` when the builder rejects the certificate.
+pub(crate) fn unit_cost_memo(spec: &ComparisonSpec) -> Option<Arc<UnitCost>> {
+    let cached = cost_table().units.get(spec).cloned();
+    cached.unwrap_or_else(|| {
+        // Built outside the lock: a racing thread computes the same value.
+        let cost = unit_cost(spec).ok().map(Arc::new);
+        cost_table().units.insert(spec.clone(), cost.clone());
+        cost
+    })
+}
+
+/// Memoized [`cover_cost`], keyed by the whole ordered list of units.
+/// `None` when the builder rejects the cover.
+pub(crate) fn cover_cost_memo(specs: &[ComparisonSpec]) -> Option<Arc<UnitCost>> {
+    let cached = cost_table().covers.get(specs).cloned();
+    cached.unwrap_or_else(|| {
+        let cost = cover_cost(specs).ok().map(Arc::new);
+        cost_table().covers.insert(specs.to_vec(), cost.clone());
+        cost
+    })
+}
+
+/// Number of certificates (units plus covers) in the cost table.
+pub fn cost_cache_entries() -> usize {
+    let costs = cost_table();
+    costs.units.len() + costs.covers.len()
 }
 
 /// Shards of the process-wide tables rebuilt after a panic poisoned their
@@ -412,5 +473,41 @@ mod tests {
             exact_cache().lookup(&exact_signature(&f, options_salt(&opts))).is_none(),
             "capped identification must not populate the exact table"
         );
+    }
+
+    /// The memoized unit and cover costs equal the direct builds for every
+    /// certificate identification hands out over all tables of up to four
+    /// inputs and a seeded sample of five-input ones — asked twice, so both
+    /// the filling and the replaying lookup are checked.
+    #[test]
+    fn cost_memo_matches_direct_costs() {
+        let opts = IdentifyOptions::default();
+        let check = |f: &TruthTable| {
+            let specs =
+                [identify(f, &opts), crate::identify_with_polarities(f, &opts).map(|p| p.0)];
+            for spec in specs.into_iter().flatten() {
+                let direct = unit_cost(&spec).expect("identified certificates build");
+                for _ in 0..2 {
+                    assert_eq!(unit_cost_memo(&spec).as_deref(), Some(&direct), "{spec}");
+                }
+            }
+            let cover = crate::cover::comparison_cover(f, &opts);
+            if !cover.is_empty() {
+                let direct = cover_cost(&cover).expect("covers build");
+                for _ in 0..2 {
+                    assert_eq!(cover_cost_memo(&cover).as_deref(), Some(&direct), "{f:?}");
+                }
+            }
+        };
+        for inputs in 1..=4 {
+            for bits in 0..1u128 << (1 << inputs) {
+                check(&TruthTable::from_bits(inputs, bits));
+            }
+        }
+        let mut rng = 0x5DEE_CE66_D1CEu64;
+        for _ in 0..300 {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            check(&TruthTable::from_bits(5, u128::from(rng >> 32)));
+        }
     }
 }

@@ -1,18 +1,21 @@
 //! Candidate subcircuits: cone enumeration, comparison-function
 //! identification, and scoring.
 //!
-//! Everything here is read-only on the circuit, which is what lets the pass
-//! fan candidate scoring out to worker threads. Fanout facts come from the
+//! Everything here is read-only on the circuit. Fanout facts come from the
 //! maintained [`CircuitViews`] (exact after every edit); path labels come
-//! from the pass-start snapshot in [`ScoreCtx`].
+//! from the pass-start snapshot in [`ScoreCtx`]. A gate has a few dozen
+//! candidates at most, so the search works in flat buffers reused from gate
+//! to gate ([`Candidates`]) rather than in per-candidate collections.
 
 use super::{Objective, ResynthOptions};
 use crate::cover::{comparison_cover, cover_cost};
-use crate::unit::unit_cost;
+use crate::memo::{cover_cost_memo, unit_cost_memo};
+use crate::unit::{unit_cost, UnitCost};
 use crate::{identify, identify_with_dc, identify_with_polarities, ComparisonSpec};
 use sft_budget::{Budget, Exhausted};
-use sft_netlist::{two_input_cost, Circuit, CircuitViews, NodeId};
-use std::collections::HashSet;
+use sft_netlist::{two_input_cost, Circuit, CircuitViews, GateKind, NodeId};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What a candidate replaces the subcircuit with.
 pub(super) enum Replacement {
@@ -27,15 +30,15 @@ pub(super) enum Replacement {
 
 /// A scored candidate subcircuit.
 pub(super) struct Candidate {
-    pub(super) gates: Vec<NodeId>,
-    pub(super) inputs: Vec<NodeId>,
+    /// Position in [`Candidates`] (its gates and cut).
+    pub(super) index: usize,
     pub(super) replacement: Replacement,
     pub(super) gate_reduction: i64,
     pub(super) new_paths_at_g: u128,
 }
 
 /// Per-gate read-only context shared by every candidate scoring of one
-/// replacement site (and by all scoring workers).
+/// replacement site.
 pub(super) struct ScoreCtx<'a> {
     pub(super) g: NodeId,
     /// Path labels snapshotted at pass start (the scoring contract: every
@@ -84,79 +87,163 @@ pub(super) fn pick_better(a: Candidate, b: Candidate, objective: Objective) -> C
     }
 }
 
-/// Enumerates candidate subcircuits rooted at `g`: cones grown by absorbing
-/// one fanin gate at a time, with at most `K` inputs (Section 4.1). Returns
-/// `(cone gate set, ordered input cut)` pairs; the single-gate cone is
-/// always first.
-pub(super) fn enumerate_candidates(
-    circuit: &Circuit,
-    g: NodeId,
-    options: &ResynthOptions,
-) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
-    let inputs_of = |gates: &[NodeId]| -> Vec<NodeId> {
-        let set: HashSet<NodeId> = gates.iter().copied().collect();
-        let mut inputs = Vec::new();
-        for &x in gates {
-            for &f in circuit.node(x).fanins() {
-                let kind = circuit.node(f).kind();
-                if matches!(kind, sft_netlist::GateKind::Const0 | sft_netlist::GateKind::Const1) {
-                    continue; // constants stay inside the cone
-                }
-                if !set.contains(&f) && !inputs.contains(&f) {
-                    inputs.push(f);
-                }
-            }
-        }
-        inputs
-    };
+/// The candidate subcircuits of one gate: `(cone gate set, ordered input
+/// cut)` pairs stored back to back in flat buffers, which
+/// [`Candidates::enumerate`] refills for every gate without allocating once
+/// the buffers have grown.
+#[derive(Default)]
+pub(super) struct Candidates {
+    /// The sorted gate set of every cone seen, back to back.
+    gates: Vec<NodeId>,
+    /// `gates[start..end]` of each seen cone.
+    sets: Vec<(u32, u32)>,
+    /// The next seen cone with the same hash (`u32::MAX` ends the chain).
+    same_hash: Vec<u32>,
+    /// First seen cone of each gate-set hash.
+    by_hash: HashMap<u64, u32>,
+    /// Cuts of the accepted candidates, back to back.
+    inputs: Vec<NodeId>,
+    /// Accepted candidates in enumeration order: seen cone, cut range.
+    accepted: Vec<(u32, u32, u32)>,
+    /// Depth-first frontier of seen cones.
+    stack: Vec<u32>,
+}
 
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    let mut result: Vec<(Vec<NodeId>, Vec<NodeId>)> = Vec::new();
-    let mut queue: Vec<Vec<NodeId>> = vec![vec![g]];
-    seen.insert(vec![g]);
-    while let Some(gates) = queue.pop() {
-        let inputs = inputs_of(&gates);
-        if inputs.len() > options.max_inputs || inputs.is_empty() {
-            continue;
-        }
-        result.push((gates.clone(), inputs.clone()));
-        if result.len() >= options.max_candidates_per_gate {
-            break;
-        }
-        for h in inputs {
-            if !circuit.node(h).kind().is_gate() {
+impl Candidates {
+    /// Enumerates candidate subcircuits rooted at `g`: cones grown by
+    /// absorbing one fanin gate at a time, with at most `K` inputs (Section
+    /// 4.1). The single-gate cone is always first; the order is the
+    /// tie-break order of [`pick_better`].
+    pub(super) fn enumerate(&mut self, circuit: &Circuit, g: NodeId, options: &ResynthOptions) {
+        self.gates.clear();
+        self.sets.clear();
+        self.same_hash.clear();
+        self.by_hash.clear();
+        self.inputs.clear();
+        self.accepted.clear();
+        self.stack.clear();
+        self.gates.push(g);
+        self.insert_last_set(0);
+        self.stack.push(0);
+        while let Some(set) = self.stack.pop() {
+            let (start, end) = self.sets[set as usize];
+            let cut_start = self.inputs.len();
+            if !self.push_cut(circuit, start as usize..end as usize, options.max_inputs) {
+                self.inputs.truncate(cut_start);
                 continue;
             }
-            let mut next = gates.clone();
-            next.push(h);
-            next.sort_unstable();
-            if seen.insert(next.clone()) {
-                queue.push(next);
+            let cut_end = self.inputs.len();
+            self.accepted.push((set, cut_start as u32, cut_end as u32));
+            if self.accepted.len() >= options.max_candidates_per_gate {
+                break;
+            }
+            for i in cut_start..cut_end {
+                let h = self.inputs[i];
+                if !circuit.node(h).kind().is_gate() {
+                    continue;
+                }
+                // The grown cone, sorted: the parent's gates with `h`
+                // inserted (`h` is a cut line, so not already inside).
+                let next = self.gates.len();
+                self.gates.extend_from_within(start as usize..end as usize);
+                let at = self.gates[next..].partition_point(|&x| x < h);
+                self.gates.insert(next + at, h);
+                if let Some(grown) = self.insert_last_set(next) {
+                    self.stack.push(grown);
+                } else {
+                    self.gates.truncate(next);
+                }
             }
         }
     }
-    result
+
+    /// Appends the cut of the cone `gates[range]` to `inputs`: every fanin
+    /// of a cone gate outside the cone, in first-seen order, constants
+    /// excepted (they stay inside the cone). Returns `false` — with the cut
+    /// partially written — when the cut is empty or wider than `max_inputs`.
+    fn push_cut(
+        &mut self,
+        circuit: &Circuit,
+        range: std::ops::Range<usize>,
+        max_inputs: usize,
+    ) -> bool {
+        let cone = &self.gates[range];
+        let start = self.inputs.len();
+        for &x in cone {
+            for &f in circuit.node(x).fanins() {
+                if cone.binary_search(&f).is_err()
+                    && !self.inputs[start..].contains(&f)
+                    && !matches!(circuit.node(f).kind(), GateKind::Const0 | GateKind::Const1)
+                {
+                    if self.inputs.len() - start == max_inputs {
+                        return false;
+                    }
+                    self.inputs.push(f);
+                }
+            }
+        }
+        self.inputs.len() > start
+    }
+
+    /// Records `gates[start..]` as a seen cone and returns its index, or
+    /// returns `None` when an equal gate set was seen before.
+    fn insert_last_set(&mut self, start: usize) -> Option<u32> {
+        let set = &self.gates[start..];
+        let hash = set.iter().fold(0u64, |h, x| {
+            (h.rotate_left(5) ^ x.index() as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let index = self.sets.len() as u32;
+        let head = *self.by_hash.entry(hash).or_insert(index);
+        if head != index {
+            let mut seen = head;
+            while seen != u32::MAX {
+                let (s, e) = self.sets[seen as usize];
+                if self.gates[s as usize..e as usize] == *set {
+                    return None;
+                }
+                seen = self.same_hash[seen as usize];
+            }
+            self.by_hash.insert(hash, index);
+        }
+        self.same_hash.push(if head == index { u32::MAX } else { head });
+        self.sets.push((start as u32, self.gates.len() as u32));
+        Some(index)
+    }
+
+    /// Number of candidates enumerated.
+    pub(super) fn len(&self) -> usize {
+        self.accepted.len()
+    }
+
+    /// The cone gate set (sorted) and the ordered input cut of candidate
+    /// `index`.
+    pub(super) fn get(&self, index: usize) -> (&[NodeId], &[NodeId]) {
+        let (set, cut_start, cut_end) = self.accepted[index];
+        let (start, end) = self.sets[set as usize];
+        (
+            &self.gates[start as usize..end as usize],
+            &self.inputs[cut_start as usize..cut_end as usize],
+        )
+    }
 }
 
-/// Scores one candidate cone at `ctx.g`: extracts the cone function,
-/// identifies a comparison replacement (a unit, a negated-input unit, or a
-/// cover), and computes the gate/path deltas. Returns `Ok(None)` when the
-/// cone has no admissible replacement.
+/// Scores candidate `index` of `candidates` at `ctx.g`: extracts the cone
+/// function, identifies a comparison replacement (a unit, a negated-input
+/// unit, or a cover), and computes the gate/path deltas. Returns `Ok(None)`
+/// when the cone has no admissible replacement.
 ///
-/// Read-only on the circuit — safe to call from worker threads. Consumes
-/// one budget step (the pass's unit of work) before doing anything
-/// expensive, so once the budget is exhausted all pending scorings return
-/// immediately; concurrent workers can overshoot the step limit by at most
-/// the number of in-flight calls.
+/// Consumes one budget step (the pass's unit of work) before doing anything
+/// expensive, so the pass stops at exactly the step limit.
 pub(super) fn score_candidate(
     circuit: &Circuit,
     options: &ResynthOptions,
     budget: &Budget,
     ctx: &ScoreCtx<'_>,
     dc: Option<&mut (sft_bdd::Manager, Vec<sft_bdd::BddRef>)>,
-    gates: &[NodeId],
-    inputs: &[NodeId],
+    candidates: &Candidates,
+    index: usize,
 ) -> Result<Option<Candidate>, Exhausted> {
+    let (gates, inputs) = candidates.get(index);
     budget.consume(1)?;
     let Ok(truth) = circuit.cone_function(ctx.g, inputs) else { return Ok(None) };
     // Don't-care-widened identification depends on the cut, not just the
@@ -168,6 +255,15 @@ pub(super) fn score_candidate(
             identify(truth, &options.identify)
         }
     };
+    // Costs are pure functions of the certificates; the memo-off path is
+    // the cold reference and builds every unit.
+    let unit = |spec: &ComparisonSpec| {
+        if options.memoize_identification {
+            unit_cost_memo(spec)
+        } else {
+            unit_cost(spec).ok().map(Arc::new)
+        }
+    };
     let spec = match dc {
         Some((manager, per_node)) => match reachable_dc(manager, per_node, circuit, inputs) {
             Ok(Some(dc)) => identify_with_dc(&truth, &dc, &options.identify),
@@ -175,9 +271,9 @@ pub(super) fn score_candidate(
         },
         None => plain(&truth),
     };
-    let (replacement, cost) = match spec {
+    let (replacement, cost): (_, Arc<UnitCost>) = match spec {
         Some(spec) => {
-            let Ok(cost) = unit_cost(&spec) else { return Ok(None) };
+            let Some(cost) = unit(&spec) else { return Ok(None) };
             (Replacement::Unit(spec), cost)
         }
         None => {
@@ -187,16 +283,20 @@ pub(super) fn score_candidate(
                 .flatten();
             if let Some((spec, negate)) = negated {
                 // Inverters on unit inputs change neither the eq-2 count
-                // nor the per-input path counts.
-                let Ok(mut cost) = unit_cost(&spec) else { return Ok(None) };
-                cost.depth += 1;
+                // nor the per-input path counts, so the unit's cost stands.
+                let Some(cost) = unit(&spec) else { return Ok(None) };
                 (Replacement::NegatedUnit(spec, negate), cost)
             } else if options.max_cover_units > 1 {
                 let cover = comparison_cover(&truth, &options.identify);
                 if cover.is_empty() || cover.len() > options.max_cover_units {
                     return Ok(None);
                 }
-                let Ok(cost) = cover_cost(&cover) else { return Ok(None) };
+                let cost = if options.memoize_identification {
+                    cover_cost_memo(&cover)
+                } else {
+                    cover_cost(&cover).ok().map(Arc::new)
+                };
+                let Some(cost) = cost else { return Ok(None) };
                 (Replacement::Cover(cover), cost)
             } else {
                 return Ok(None);
@@ -214,21 +314,16 @@ pub(super) fn score_candidate(
         })
         .sum();
     let gate_reduction = old_cost as i64 - cost.two_input_gates as i64;
-    let input_labels: Vec<u128> = inputs.iter().map(|i| ctx.labels[i.index()]).collect();
-    let new_paths_at_g = cost.paths_with_labels(&input_labels);
-    Ok(Some(Candidate {
-        gates: gates.to_vec(),
-        inputs: inputs.to_vec(),
-        replacement,
-        gate_reduction,
-        new_paths_at_g,
-    }))
+    let new_paths_at_g = cost.paths_with(inputs.iter().map(|i| ctx.labels[i.index()]));
+    Ok(Some(Candidate { index, replacement, gate_reduction, new_paths_at_g }))
 }
 
 /// The cone gates that die if `g` is rewired away from this cone: gates
 /// (other than `g`) that drive no primary output and all of whose consumers
-/// are `g` or other dying gates. `g` itself is always included (its old
-/// gate is replaced).
+/// are `g` or other dying gates — the greatest such subset of the cone,
+/// which the removal loop reaches in any order. `g` itself is always
+/// included (its old gate is replaced). `cone` must be sorted; so is the
+/// result.
 ///
 /// Both liveness facts — the primary-output references and the gate
 /// consumers — come from the one maintained view. (The rebuilt-table
@@ -237,28 +332,31 @@ pub(super) fn score_candidate(
 /// `fanout_table`; the only thing that difference can ever be is the
 /// primary-output reference count, which the view tracks directly.)
 pub(super) fn removable_gates(g: NodeId, cone: &[NodeId], views: &CircuitViews) -> Vec<NodeId> {
-    let cone_set: HashSet<NodeId> = cone.iter().copied().collect();
-    let mut removable: HashSet<NodeId> = cone_set.clone();
-    removable.remove(&g);
+    debug_assert!(cone.windows(2).all(|w| w[0] < w[1]), "cone gate lists are sorted");
+    let mut removable: Vec<NodeId> = cone.iter().copied().filter(|&x| x != g).collect();
     loop {
-        let mut changed = false;
-        let current: Vec<NodeId> = removable.iter().copied().collect();
-        for x in current {
-            let ok = !views.drives_output(x)
-                && views.fanout(x).iter().all(|&(c, _)| c == g || removable.contains(&c));
-            if !ok {
-                removable.remove(&x);
-                changed = true;
+        let before = removable.len();
+        let mut i = 0;
+        while i < removable.len() {
+            let x = removable[i];
+            let dies = !views.drives_output(x)
+                && views
+                    .fanout(x)
+                    .iter()
+                    .all(|&(c, _)| c == g || removable.binary_search(&c).is_ok());
+            if dies {
+                i += 1;
+            } else {
+                removable.remove(i);
             }
         }
-        if !changed {
+        if removable.len() == before {
             break;
         }
     }
-    let mut v: Vec<NodeId> = removable.into_iter().collect();
-    v.push(g);
-    v.sort_unstable();
-    v
+    let at = removable.partition_point(|&x| x < g);
+    removable.insert(at, g);
+    removable
 }
 
 /// The unreachable cone-input combinations (satisfiability don't-cares) of

@@ -36,7 +36,7 @@
 //! The implementation is split along the transactional seams:
 //!
 //! - [`candidates`](self) — cone enumeration, identification, and scoring
-//!   (read-only on the circuit; fans out to worker threads);
+//!   (read-only on the circuit; runs on the calling thread);
 //! - [`pass`](self) — one output-to-input traversal applying accepted
 //!   replacements through journaled edits;
 //! - [`commit`](self) — the pass loop: journal checkpoints, dirty-region
@@ -107,14 +107,14 @@ pub struct ResynthOptions {
     /// no equivalent 2-input gates and add no paths). A strict
     /// generalization of Definition 1; off by default to match the paper.
     pub allow_input_negation: bool,
-    /// Worker threads scoring candidate cones concurrently. Scoring is
-    /// read-only, results are merged in enumeration order, and all circuit
-    /// edits stay on the calling thread, so the resynthesized circuit is
-    /// identical at any value when the budget is unlimited; under a step
-    /// budget, workers may overshoot the step limit by up to `jobs - 1`
-    /// in-flight scoring steps. Ignored (treated as serial) while
-    /// `use_satisfiability_dont_cares` is on, since SDC extraction shares
-    /// one mutable BDD manager.
+    /// The workspace `--jobs` knob, accepted so one option set drives every
+    /// flow. Resynthesis itself ignores it: candidate scoring runs on the
+    /// calling thread, in enumeration order. A gate has about 16 candidates
+    /// — tens of microseconds of work — so fanning them out per gate spent
+    /// more on thread spawns than it saved (on a 2-core host a 12K-gate
+    /// run was slower at two threads than at one), and the pass's
+    /// accept-and-rewire loop orders the gates. The result, and the step accounting under a step
+    /// budget, are therefore identical at any value.
     pub jobs: Jobs,
     /// Memoize exact comparison-function identification in the
     /// process-wide tables of [`crate::memo`]: negative verdicts shared
@@ -306,7 +306,7 @@ pub fn resynthesize_with_budget(
 
 #[cfg(test)]
 mod tests {
-    use super::candidates::{enumerate_candidates, removable_gates};
+    use super::candidates::{removable_gates, Candidates};
     use super::*;
     use sft_netlist::bench_format::parse;
 
@@ -399,15 +399,150 @@ INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\nOUTPUT(y)\n\
 t1 = AND(a, b)\nt2 = AND(c, d)\nt3 = AND(e, f)\nt4 = AND(t1, t2)\ny = AND(t4, t3)\n";
         let c = parse(src, "wide").unwrap();
         let y = c.outputs()[0];
+        let mut candidates = Candidates::default();
         let opts = ResynthOptions { max_inputs: 4, ..ResynthOptions::default() };
-        let candidates = enumerate_candidates(&c, y, &opts);
-        assert!(candidates.iter().all(|(_, inputs)| inputs.len() <= 4));
+        candidates.enumerate(&c, y, &opts);
+        assert!((0..candidates.len()).all(|i| candidates.get(i).1.len() <= 4));
         // The single-gate candidate is present.
-        assert!(candidates.iter().any(|(gates, _)| gates.len() == 1));
+        assert!((0..candidates.len()).any(|i| candidates.get(i).0.len() == 1));
         // With K=6 the full cone is reachable.
         let opts6 = ResynthOptions { max_inputs: 6, ..ResynthOptions::default() };
-        let candidates6 = enumerate_candidates(&c, y, &opts6);
-        assert!(candidates6.iter().any(|(gates, _)| gates.len() == 5));
+        candidates.enumerate(&c, y, &opts6);
+        assert!((0..candidates.len()).any(|i| candidates.get(i).0.len() == 5));
+    }
+
+    /// The set-based enumeration and removal fixpoint the flat-buffer
+    /// versions replaced, kept as the reference they must reproduce.
+    fn reference_candidates(
+        c: &Circuit,
+        g: sft_netlist::NodeId,
+        opts: &ResynthOptions,
+    ) -> Vec<(Vec<sft_netlist::NodeId>, Vec<sft_netlist::NodeId>)> {
+        use std::collections::HashSet;
+        let inputs_of = |gates: &[sft_netlist::NodeId]| {
+            let mut inputs = Vec::new();
+            for &x in gates {
+                for &f in c.node(x).fanins() {
+                    let constant = matches!(
+                        c.node(f).kind(),
+                        sft_netlist::GateKind::Const0 | sft_netlist::GateKind::Const1
+                    );
+                    if !constant && !gates.contains(&f) && !inputs.contains(&f) {
+                        inputs.push(f);
+                    }
+                }
+            }
+            inputs
+        };
+        let mut seen = HashSet::from([vec![g]]);
+        let mut result = Vec::new();
+        let mut queue = vec![vec![g]];
+        while let Some(gates) = queue.pop() {
+            let inputs = inputs_of(&gates);
+            if inputs.len() > opts.max_inputs || inputs.is_empty() {
+                continue;
+            }
+            result.push((gates.clone(), inputs.clone()));
+            if result.len() >= opts.max_candidates_per_gate {
+                break;
+            }
+            for h in inputs {
+                if c.node(h).kind().is_gate() {
+                    let mut next = gates.clone();
+                    next.push(h);
+                    next.sort_unstable();
+                    if seen.insert(next.clone()) {
+                        queue.push(next);
+                    }
+                }
+            }
+        }
+        result
+    }
+
+    fn reference_removable(
+        g: sft_netlist::NodeId,
+        cone: &[sft_netlist::NodeId],
+        views: &sft_netlist::CircuitViews,
+    ) -> Vec<sft_netlist::NodeId> {
+        use std::collections::HashSet;
+        let mut removable: HashSet<_> = cone.iter().copied().filter(|&x| x != g).collect();
+        loop {
+            let dead: Vec<_> = removable
+                .iter()
+                .copied()
+                .filter(|&x| {
+                    views.drives_output(x)
+                        || views.fanout(x).iter().any(|&(c, _)| c != g && !removable.contains(&c))
+                })
+                .collect();
+            if dead.is_empty() {
+                break;
+            }
+            for x in dead {
+                removable.remove(&x);
+            }
+        }
+        let mut v: Vec<_> = removable.into_iter().chain([g]).collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Every gate of a few random circuits (one with constants inside its
+    /// cones) yields the reference's candidates in the reference's order,
+    /// under several input limits and candidate caps, and the reference's
+    /// removable set for each of them.
+    #[test]
+    fn flat_enumeration_matches_set_based_reference() {
+        use sft_circuits::random::{random_circuit, RandomCircuitConfig};
+        let mut circuits: Vec<Circuit> = [3u64, 11, 29]
+            .iter()
+            .map(|&seed| {
+                random_circuit(&RandomCircuitConfig {
+                    inputs: 8,
+                    outputs: 3,
+                    gates: 60,
+                    window: 12,
+                    seed,
+                })
+            })
+            .collect();
+        circuits.push(
+            parse(
+                "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(t1)\nk = CONST1\n\
+                 t1 = AND(a, k)\nt2 = OR(t1, b)\nt3 = NAND(t1, c, k)\ny = XOR(t2, t3)\n",
+                "consts",
+            )
+            .unwrap(),
+        );
+        let mut candidates = Candidates::default();
+        for mut c in circuits {
+            c.enable_views();
+            let gates: Vec<_> =
+                c.iter().filter(|(_, n)| n.kind().is_gate()).map(|(id, _)| id).collect();
+            for (max_inputs, max_candidates_per_gate) in [(3, 200), (5, 200), (6, 200), (5, 7)] {
+                let opts =
+                    ResynthOptions { max_inputs, max_candidates_per_gate, ..Default::default() };
+                for &g in &gates {
+                    let expected = reference_candidates(&c, g, &opts);
+                    candidates.enumerate(&c, g, &opts);
+                    let got: Vec<_> = (0..candidates.len())
+                        .map(|i| {
+                            let (gates, inputs) = candidates.get(i);
+                            (gates.to_vec(), inputs.to_vec())
+                        })
+                        .collect();
+                    assert_eq!(got, expected, "candidates of {g} at K={max_inputs}");
+                    let views = c.views().unwrap();
+                    for (cone, _) in &expected {
+                        assert_eq!(
+                            removable_gates(g, cone, views),
+                            reference_removable(g, cone, views)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -420,7 +555,9 @@ t1 = AND(a, b)\ny = OR(t1, c)\nz = NOT(t1)\n";
         let y = c.outputs()[0];
         let t1 = c.iter().find(|(_, n)| n.name() == Some("t1")).map(|(id, _)| id).unwrap();
         c.enable_views();
-        let removable = removable_gates(y, &[y, t1], c.views().unwrap());
+        let mut cone = [y, t1];
+        cone.sort_unstable();
+        let removable = removable_gates(y, &cone, c.views().unwrap());
         assert!(!removable.contains(&t1), "shared gate must not be counted removable");
         assert!(removable.contains(&y));
     }

@@ -2,14 +2,13 @@
 //! accepted replacements through journaled edits on the live circuit.
 
 use super::candidates::{
-    combined_score, enumerate_candidates, pick_better, removable_gates, score_candidate, Candidate,
+    combined_score, pick_better, removable_gates, score_candidate, Candidate, Candidates,
     Replacement, ScoreCtx,
 };
 use super::{Objective, ResynthOptions};
 use crate::unit::build_unit_in;
 use sft_budget::{Budget, Exhausted};
 use sft_netlist::{Circuit, GateKind, NodeId};
-use sft_par::parallel_map;
 
 /// Why a pass could not run to completion. Budget exhaustion is recoverable
 /// (rollback + report); netlist errors are not.
@@ -81,6 +80,7 @@ pub(super) fn one_pass(
     // pass-start state the caller diffed; the first edit invalidates both.
     let mut untouched = true;
     let mut replacements = 0usize;
+    let mut candidates = Candidates::default();
     for &g in order.iter().rev() {
         if g.index() >= marked.len() {
             continue; // nodes appended during this pass
@@ -103,29 +103,23 @@ pub(super) fn one_pass(
             }
             continue;
         }
-        let candidates = enumerate_candidates(circuit, g, options);
+        candidates.enumerate(circuit, g, options);
         let ctx = ScoreCtx { g, labels: &labels };
-        // Scoring is read-only on the circuit, so candidates fan out to
-        // worker threads; the SDC path shares one mutable BDD manager and
-        // stays sequential. Merging in enumeration order keeps the chosen
-        // candidate identical at any thread count.
-        let scored: Vec<Result<Option<Candidate>, Exhausted>> = match &mut dc_state {
-            Some(dc) => candidates
-                .iter()
-                .map(|(gates, inputs)| {
-                    score_candidate(circuit, options, budget, &ctx, Some(dc), gates, inputs)
-                })
-                .collect(),
-            None => {
-                let circuit: &Circuit = circuit;
-                parallel_map(options.jobs, &candidates, |_, (gates, inputs)| {
-                    score_candidate(circuit, options, budget, &ctx, None, gates, inputs)
-                })
-            }
-        };
+        // Scored inline, in enumeration order (the tie-break order): a
+        // gate's candidates are tens of microseconds of work, less than
+        // fanning them out to worker threads costs.
         let mut best: Option<Candidate> = None;
-        for s in scored {
-            if let Some(candidate) = s? {
+        for index in 0..candidates.len() {
+            let scored = score_candidate(
+                circuit,
+                options,
+                budget,
+                &ctx,
+                dc_state.as_mut(),
+                &candidates,
+                index,
+            );
+            if let Some(candidate) = scored? {
                 best = Some(match best {
                     None => candidate,
                     Some(b) => pick_better(b, candidate, options.objective),
@@ -144,11 +138,12 @@ pub(super) fn one_pass(
         });
         if accept {
             let b = best.expect("accept implies candidate");
+            let (gates, inputs) = candidates.get(b.index);
             // Mark the dying cone gates as consumed *before* rewiring (the
             // removable set is computed against the pre-rewire structure).
             let removable = {
                 let views = circuit.views().expect("resynthesis runs with views enabled");
-                removable_gates(g, &b.gates, views)
+                removable_gates(g, gates, views)
             };
             for x in removable {
                 if x != g && x.index() < consumed.len() {
@@ -157,15 +152,14 @@ pub(super) fn one_pass(
             }
             let (kind, fanins) = match &b.replacement {
                 Replacement::Unit(spec) => {
-                    let top = build_unit_in(circuit, &b.inputs, spec)?;
+                    let top = build_unit_in(circuit, inputs, spec)?;
                     match top.kind {
                         GateKind::Const0 | GateKind::Const1 => (top.kind, Vec::new()),
                         k => (k, top.fanins),
                     }
                 }
                 Replacement::NegatedUnit(spec, negate) => {
-                    let lines: Vec<NodeId> = b
-                        .inputs
+                    let lines: Vec<NodeId> = inputs
                         .iter()
                         .zip(negate)
                         .map(|(&line, &neg)| {
@@ -186,7 +180,7 @@ pub(super) fn one_pass(
                     let outs: Vec<NodeId> = specs
                         .iter()
                         .map(|spec| {
-                            let top = build_unit_in(circuit, &b.inputs, spec)?;
+                            let top = build_unit_in(circuit, inputs, spec)?;
                             crate::unit::materialize_top(circuit, top)
                         })
                         .collect::<Result<_, _>>()?;
@@ -200,7 +194,7 @@ pub(super) fn one_pass(
             circuit.rewire(g, kind, fanins)?;
             replacements += 1;
             untouched = false;
-            for i in &b.inputs {
+            for i in inputs {
                 if i.index() < marked.len() && circuit.node(*i).kind().is_gate() {
                     marked[i.index()] = true;
                 }

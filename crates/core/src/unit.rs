@@ -40,10 +40,16 @@ impl UnitCost {
     /// Total paths through the unit given external path labels `N_p` of the
     /// inputs (Section 2 of the paper: `N_p(g) = Σ N_p(g_i)·K_p(g_i)`).
     pub fn paths_with_labels(&self, labels: &[u128]) -> u128 {
+        self.paths_with(labels.iter().copied())
+    }
+
+    /// [`paths_with_labels`](Self::paths_with_labels) over labels produced
+    /// by an iterator, in input order.
+    pub(crate) fn paths_with(&self, labels: impl IntoIterator<Item = u128>) -> u128 {
         self.input_paths
             .iter()
             .zip(labels)
-            .fold(0u128, |acc, (&k, &n)| acc.saturating_add(n.saturating_mul(k as u128)))
+            .fold(0u128, |acc, (&k, n)| acc.saturating_add(n.saturating_mul(k as u128)))
     }
 }
 

@@ -3,41 +3,8 @@
 
 use crate::{Circuit, GateKind, NetlistError, NodeId};
 use sft_truth::{TruthTable, MAX_INPUTS};
-use std::collections::HashMap;
 
 impl Circuit {
-    /// The set of gate nodes strictly between the cut `inputs` and `root`
-    /// (including `root`, excluding the cut lines themselves).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::Cone`] if some path from `root` reaches a
-    /// primary input or constant without crossing the cut — i.e. the cut
-    /// does not dominate the cone.
-    pub fn cone_gates(&self, root: NodeId, inputs: &[NodeId]) -> Result<Vec<NodeId>, NetlistError> {
-        let mut gates = Vec::new();
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            if inputs.contains(&n) {
-                continue;
-            }
-            if std::mem::replace(&mut seen[n.index()], true) {
-                continue;
-            }
-            let node = self.node(n);
-            if !node.kind().is_gate() {
-                return Err(NetlistError::Cone(format!(
-                    "line {n} ({}) reached without crossing the cut",
-                    node.kind()
-                )));
-            }
-            gates.push(n);
-            stack.extend_from_slice(node.fanins());
-        }
-        Ok(gates)
-    }
-
     /// The Boolean function of line `root` in terms of the ordered cut
     /// `inputs` (input 0 is the most significant minterm bit, matching the
     /// paper's `x_1`-is-MSB convention).
@@ -85,40 +52,32 @@ impl Circuit {
         // simulation: with k <= 7 all 128 minterms fit in two u64 words.
         // The walk is cone-local (memoized DFS), so the cost is proportional
         // to the cone size, not the circuit size — this is the hot path of
-        // the resynthesis candidate search.
+        // the resynthesis candidate search. Cones of bounded cuts hold a
+        // handful of gates, so the memo is a linear scratch, not a map.
         let k = inputs.len();
-        let minterms = 1u64 << k;
-        let words = minterms.div_ceil(64) as usize;
-        let mut values: HashMap<NodeId, [u64; 2]> = HashMap::new();
+        let words = if k > 6 { 2 } else { 1 };
+        let mut values: Vec<(NodeId, [u64; 2])> = Vec::with_capacity(2 * MAX_INPUTS);
         // Cut line i (MSB-first) gets the pattern where bit m of word w is
-        // bit (n-1-i) of minterm (w*64+m).
+        // bit (k-1-i) of minterm (w*64+m).
         for (i, &line) in inputs.iter().enumerate() {
-            let mut v = [0u64; 2];
-            for (w, word) in v.iter_mut().enumerate().take(words) {
-                for m in 0..64u64 {
-                    let minterm = w as u64 * 64 + m;
-                    if minterm < minterms && minterm >> (k - 1 - i) & 1 == 1 {
-                        *word |= 1 << m;
-                    }
-                }
-            }
-            values.insert(line, v);
+            let bit = k - 1 - i;
+            let v = match VARIABLE_WORDS.get(bit) {
+                Some(&pattern) => [pattern, pattern],
+                None => [0, u64::MAX], // bit 6 selects the second word
+            };
+            values.push((line, v));
         }
         // Iterative post-order DFS from the root.
         let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
         let mut buf: Vec<u64> = Vec::new();
         while let Some((n, expanded)) = stack.pop() {
-            if values.contains_key(&n) {
+            if lookup(&values, n).is_some() {
                 continue;
             }
             let node = self.node(n);
             match node.kind() {
-                GateKind::Const0 => {
-                    values.insert(n, [0, 0]);
-                }
-                GateKind::Const1 => {
-                    values.insert(n, [u64::MAX, u64::MAX]);
-                }
+                GateKind::Const0 => values.push((n, [0, 0])),
+                GateKind::Const1 => values.push((n, [u64::MAX, u64::MAX])),
                 GateKind::Input => {
                     return Err(NetlistError::Cone(format!(
                         "primary input {n} reached without crossing the cut"
@@ -129,16 +88,18 @@ impl Circuit {
                         let mut out = [0u64; 2];
                         for (w, o) in out.iter_mut().enumerate().take(words) {
                             buf.clear();
-                            buf.extend(node.fanins().iter().map(|f| values[f][w]));
+                            buf.extend(node.fanins().iter().map(|&f| {
+                                lookup(&values, f).expect("fanins evaluate before their gate")[w]
+                            }));
                             *o = kind.try_eval_words(&buf).ok_or_else(|| {
                                 NetlistError::Cone(format!("gate {n} ({kind}) is malformed"))
                             })?;
                         }
-                        values.insert(n, out);
+                        values.push((n, out));
                     } else {
                         stack.push((n, true));
                         for &f in node.fanins() {
-                            if !values.contains_key(&f) {
+                            if lookup(&values, f).is_none() {
                                 stack.push((f, false));
                             }
                         }
@@ -146,9 +107,25 @@ impl Circuit {
                 }
             }
         }
-        let root_vals = values[&root];
-        Ok(TruthTable::from_fn(k, |m| root_vals[(m / 64) as usize] >> (m % 64) & 1 == 1))
+        let root_vals = lookup(&values, root).expect("the root is evaluated last");
+        Ok(TruthTable::from_bits(k, u128::from(root_vals[0]) | u128::from(root_vals[1]) << 64))
     }
+}
+
+/// Bit `b` of the minterm index, replicated over a 64-minterm word, for
+/// `b < 6` (bit 6 is constant within a word).
+const VARIABLE_WORDS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The simulated words of `n`, if the cone walk has evaluated it.
+fn lookup(values: &[(NodeId, [u64; 2])], n: NodeId) -> Option<[u64; 2]> {
+    values.iter().find(|&&(m, _)| m == n).map(|&(_, v)| v)
 }
 
 #[cfg(test)]
@@ -238,5 +215,52 @@ mod tests {
         // Reversed cut order swaps the roles.
         let f_rev = c.cone_function(h, &[q, p]).unwrap();
         assert_eq!(f_rev.on_set().collect::<Vec<_>>(), vec![0, 2, 3]);
+    }
+
+    /// The word-parallel walk agrees with evaluating the cone one minterm
+    /// at a time, for every gate of a random DAG and cuts of 1–7 lines
+    /// (including the two-word 7-line case and constants in the cone).
+    #[test]
+    fn matches_per_minterm_evaluation() {
+        fn eval(c: &Circuit, n: NodeId, cut: &[NodeId], m: u64) -> bool {
+            if let Some(i) = cut.iter().position(|&x| x == n) {
+                return m >> (cut.len() - 1 - i) & 1 == 1;
+            }
+            let node = c.node(n);
+            let fanins: Vec<bool> = node.fanins().iter().map(|&f| eval(c, f, cut, m)).collect();
+            node.kind().eval(&fanins)
+        }
+        let mut rng = 0x0DDB_1A5E_5BADu64;
+        let mut next = move |bound: usize| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % bound
+        };
+        let mut c = Circuit::new("t");
+        let mut lines: Vec<NodeId> = (0..7).map(|i| c.add_input(format!("i{i}"))).collect();
+        lines.push(c.add_const(true));
+        lines.push(c.add_const(false));
+        let kinds = [GateKind::And, GateKind::Or, GateKind::Nand, GateKind::Xor, GateKind::Not];
+        for _ in 0..40 {
+            let kind = kinds[next(kinds.len())];
+            let arity = if kind == GateKind::Not { 1 } else { 2 + next(2) };
+            let fanins = (0..arity).map(|_| lines[next(lines.len())]).collect();
+            lines.push(c.add_gate(kind, fanins).unwrap());
+        }
+        let inputs = c.inputs().to_vec();
+        for &root in &lines[9..] {
+            for k in 1..=7 {
+                // A cut of k primary inputs in a scrambled order; cones the
+                // cut does not dominate must fail.
+                let mut cut = inputs.clone();
+                for i in (1..cut.len()).rev() {
+                    cut.swap(i, next(i + 1));
+                }
+                cut.truncate(k);
+                let Ok(f) = c.cone_function(root, &cut) else { continue };
+                for m in 0..1u64 << k {
+                    assert_eq!(f.value(m), eval(&c, root, &cut, m), "{root} cut {cut:?} m={m}");
+                }
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Fork-join parallelism primitives for the `sft` workspace.
 //!
-//! The workspace's two hot paths — candidate-cone scoring in resynthesis
-//! and fault-simulation campaigns — are embarrassingly parallel, but the
-//! build environment vendors no external crates, so this crate provides
+//! The workspace's parallel hot path — fault-simulation campaigns (stuck-at,
+//! path-delay and the ATPG random phase) — is embarrassingly parallel, but
+//! the build environment vendors no external crates, so this crate provides
 //! the minimal substrate on plain `std::thread`:
 //!
 //! - [`Jobs`] — the workspace-wide thread-count knob (the CLI's `--jobs`).

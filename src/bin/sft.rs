@@ -35,10 +35,11 @@
 //! bound the run. An exhausted budget is not an error: the command prints
 //! the stop reason, writes the best verified partial result, and exits 0.
 //!
-//! Parallelism (resynth, testgen, pdf): `--jobs N` runs the hot loops on
-//! `N` worker threads (`0` or `all` = every core; default: all cores).
+//! Parallelism (testgen, pdf): `--jobs N` runs the fault-simulation loops
+//! on `N` worker threads (`0` or `all` = every core; default: all cores).
 //! Results are bit-identical at any value; `--jobs 1` additionally
-//! restores the exact single-threaded execution order.
+//! restores the exact single-threaded execution order. `resynth` accepts
+//! `--jobs` and scores its candidates on the calling thread.
 //!
 //! Fault simulation (testgen's random phase, fault dropping and
 //! compaction) runs one engine: critical-path tracing inside fanout-free

@@ -194,13 +194,12 @@ proptest! {
         }
     }
 
-    /// Parallel candidate scoring is a pure refactoring: at any thread
-    /// count, `resynthesize_with_budget` on an unlimited budget produces a
-    /// circuit *identical* to the serial run, with identical step
-    /// accounting (the shared step counter decrements by exactly the same
-    /// amount, races included, because the counter never nears zero).
+    /// The `jobs` knob is inert for resynthesis (scoring runs on the
+    /// calling thread): at any value, `resynthesize_with_budget` on an
+    /// unlimited budget produces a circuit *identical* to the serial run,
+    /// with identical step accounting.
     #[test]
-    fn parallel_resynth_matches_serial(c in arb_circuit(5, 14), jobs in 2usize..6) {
+    fn resynth_at_any_jobs_matches_serial(c in arb_circuit(5, 14), jobs in 2usize..6) {
         const BIG: u64 = 1 << 40;
         let serial_budget = Budget::unlimited().with_step_limit(BIG);
         let mut serial = c.clone();
@@ -218,13 +217,15 @@ proptest! {
         prop_assert_eq!(par_budget.remaining_steps(), serial_budget.remaining_steps());
     }
 
-    /// Under a step budget, a parallel run stops with `StepBudget`, rolls
-    /// back transactionally to a BDD-equivalent circuit, and overshoots the
-    /// limit by at most `jobs - 1` candidate evaluations (one in-flight
-    /// worker per extra thread may pass the non-consuming `check` before
-    /// the counter drains).
+    /// Under a step budget, a run at any `jobs` stops with `StepBudget` and
+    /// rolls back transactionally to a BDD-equivalent circuit, or converges
+    /// when the limit covers the whole run. Scoring consumes steps in order
+    /// on the calling thread, so nothing overshoots: a run given one unit
+    /// more than its total work converges with exactly that unit left. (One
+    /// unit more, not zero: a drained counter fails the next `check`, and
+    /// the run checks again after its last scoring step.)
     #[test]
-    fn parallel_resynth_respects_step_budget(
+    fn resynth_at_any_jobs_respects_step_budget(
         c in arb_circuit(5, 14),
         limit in 1u64..40,
         jobs in 2usize..6,
@@ -237,6 +238,14 @@ proptest! {
             .expect("unconstrained resynthesis");
         let total_work = BIG - full.remaining_steps().expect("step-limited");
 
+        let spare = Budget::unlimited().with_step_limit(total_work + 1);
+        let mut done = c.clone();
+        let report = resynthesize_with_budget(&mut done, &resynth_opts(Jobs::new(jobs)), &spare)
+            .expect("resynthesis with one unit to spare");
+        prop_assert_eq!(report.stop_reason, StopReason::Converged);
+        prop_assert_eq!(spare.remaining_steps(), Some(1));
+        prop_assert_eq!(&done, &scratch);
+
         let budget = Budget::unlimited().with_step_limit(limit);
         let mut work = c.clone();
         let report = resynthesize_with_budget(&mut work, &resynth_opts(Jobs::new(jobs)), &budget)
@@ -244,8 +253,7 @@ proptest! {
         // Whatever happened, the result is verified equivalent.
         prop_assert_eq!(exhaustive_outputs(&work), exhaustive_outputs(&c));
         work.validate().expect("budgeted result validates");
-        if limit >= total_work + jobs as u64 {
-            // Enough budget even in the worst overshoot case: must finish.
+        if limit > total_work {
             prop_assert_eq!(report.stop_reason, StopReason::Converged);
         } else if report.stop_reason == StopReason::StepBudget {
             // Interrupted mid-search: the pass rolled back, so the circuit
