@@ -156,16 +156,16 @@ pub fn pdf_campaign_on_with_budget(
     let mut block_index: u64 = 0;
 
     // Simulates one 64-pair block and returns the indices of the path
-    // delay faults it robustly detects. Pure in `(seed, block)` and
-    // read-only on the simulator, so blocks fan out to worker threads.
-    let run_block = |block: u64| -> Vec<u32> {
+    // delay faults it robustly detects that `known` does not hold yet.
+    // Pure in `(seed, block, known)` and read-only on the simulator, so
+    // blocks fan out to worker threads.
+    let run_block = |block: u64, known: &[bool]| -> Vec<usize> {
         let (v1, v2) = pair_block(config.seed, block, n_inputs);
         let mut waves = Vec::new();
         sim.simulate_into(&v1, &v2, &mut waves);
-        let analysis = robust_detection_masks(circuit, &waves);
-        let mut local = vec![false; paths.fault_count()];
-        analysis.accumulate(&waves, paths, &mut local);
-        (0..local.len()).filter(|&i| local[i]).map(|i| i as u32).collect()
+        let mut found = Vec::new();
+        robust_detection_masks(circuit, &waves).walk(&waves, paths, known, |f| found.push(f));
+        found
     };
 
     let mut stop = StopReason::MaxPasses;
@@ -188,16 +188,16 @@ pub fn pdf_campaign_on_with_budget(
             let offset = applied + i * 64;
             blocks.push((block_index + i, offset, (config.max_pairs - offset).min(64)));
         }
-        let detections: Vec<Vec<u32>> =
-            parallel_map(config.jobs, &blocks, |_, &(b, _, _)| run_block(b));
+        let detections: Vec<Vec<usize>> =
+            parallel_map(config.jobs, &blocks, |_, &(b, _, _)| run_block(b, &detected));
         // Merge strictly in block order; the stop rules run per block
         // exactly as the serial loop would (later blocks of a stopped
         // chunk are discarded).
         for (&(_, offset, size), block_detected) in blocks.iter().zip(&detections) {
             let mut new = 0usize;
             for &fi in block_detected {
-                if !detected[fi as usize] {
-                    detected[fi as usize] = true;
+                if !detected[fi] {
+                    detected[fi] = true;
                     new += 1;
                 }
             }

@@ -6,13 +6,16 @@
 //! model: every physical input-to-output path, in both transition
 //! directions, is a fault. This crate provides:
 //!
-//! - [`PathSet`] / [`enumerate_paths`] — explicit enumeration of all
-//!   input-to-output paths (with a hard cap, since path counts explode);
+//! - [`PathSet`] / [`enumerate_paths`] — every input-to-output path,
+//!   indexed by Procedure 1 labels instead of stored (capped all the same,
+//!   since path counts explode); [`PathSet::path`] rebuilds one path;
 //! - [`TwoPatternSim`] — 64-way parallel simulation of `<v1, v2>` pattern
 //!   pairs computing, per line, the two values plus a conservative
 //!   *glitch-free* flag;
 //! - robust sensitization masks per gate input (the classical robust
-//!   propagation conditions), and per-path robust detection;
+//!   propagation conditions), per-path robust detection, and detection
+//!   over a whole [`PathSet`] by a pruned walk of the robustly sensitized
+//!   subgraph ([`RobustAnalysis::accumulate`]);
 //! - [`pdf_campaign`] — the random two-pattern robust-coverage experiment of
 //!   Table 7 of the paper.
 //!
@@ -42,7 +45,7 @@ pub use campaign::{
     pdf_campaign_with_budget, PdfCampaignConfig, PdfCampaignResult,
 };
 pub use nonenumerative::robust_count_for_pair;
-pub use paths::{enumerate_paths, Path, PathEnumError, PathSet};
+pub use paths::{enumerate_paths, Path, PathEnumError, PathIter, PathSet};
 pub use robust::{robust_detection_masks, RobustAnalysis};
 pub use statistics::{path_length_histogram, PathLengthHistogram};
 pub use transition::{

@@ -14,9 +14,12 @@
 //! circuit size per pattern pair.
 //!
 //! Per-pair counts cannot simply be summed across pairs (a fault detected
-//! twice would be double-counted — the limitation \[8\] engineers around);
-//! use [`crate::pdf_campaign`] when an exact cumulative count over an
-//! enumerable path set is needed.
+//! twice would be double-counted — the limitation \[8\] engineers around).
+//! [`crate::pdf_campaign`] keeps the exact cumulative count instead: one
+//! bit per path delay fault, set by a walk over the same sensitized
+//! subgraph that prunes at every zero mask, so it too never lists paths.
+//! The bitmap is what caps it: two bits per path, up to
+//! [`crate::PdfCampaignConfig::path_limit`] paths.
 
 use crate::robust::RobustAnalysis;
 use crate::twopattern::LineWaves;
@@ -70,8 +73,8 @@ mod tests {
     use sft_netlist::bench_format::parse;
 
     /// Cross-validation: the non-enumerative count equals the number of
-    /// paths the enumerative checker marks detected, for every pair of a
-    /// random block, on several circuits.
+    /// paths the per-path `path_masks` fold marks detected, for every pair
+    /// of a random block, on several circuits.
     #[test]
     fn matches_enumerative_count() {
         let sources = [
@@ -99,7 +102,7 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
                 let slow: u128 = paths
                     .iter()
                     .map(|p| {
-                        let (r, f) = analysis.path_masks(&waves, p);
+                        let (r, f) = analysis.path_masks(&waves, &p);
                         u128::from((r | f) >> bit & 1)
                     })
                     .sum();

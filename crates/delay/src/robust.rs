@@ -5,7 +5,8 @@
 //! (Lin–Reddy) structural conditions, checked gate by gate along the path,
 //! are:
 //!
-//! - every on-path line has a transition;
+//! - every on-path line has a transition — the on-path input *and* the
+//!   gate output it enters;
 //! - at each on-path gate with controlling value `c`, when the on-path
 //!   input's **final** value is non-controlling (a `c → c̄` transition),
 //!   every off-path input must hold a steady, hazard-free non-controlling
@@ -28,9 +29,11 @@ use sft_netlist::{Circuit, GateKind};
 /// Word-parallel robust-sensitization masks for one simulated block.
 #[derive(Debug, Clone)]
 pub struct RobustAnalysis {
-    /// `masks[node][pin]`: pairs under which a transition entering `pin` of
-    /// `node` propagates robustly through it.
-    masks: Vec<Vec<u64>>,
+    /// Node `n`'s pin masks are `masks[start[n]..start[n + 1]]`: pin `p`
+    /// holds the pairs under which a transition entering it propagates
+    /// robustly through the node.
+    start: Vec<u32>,
+    masks: Vec<u64>,
 }
 
 impl RobustAnalysis {
@@ -40,21 +43,19 @@ impl RobustAnalysis {
     ///
     /// Panics if the node or pin is out of range.
     pub fn pin_mask(&self, node: sft_netlist::NodeId, pin: u8) -> u64 {
-        self.masks[node.index()][pin as usize]
+        self.pins(node.index())[pin as usize]
     }
 
-    /// Mask of pairs that robustly sensitize the whole `path` (still needs
-    /// to be ANDed with the start line's clean-transition mask, which
-    /// [`path_masks`](Self::path_masks) does for you).
-    fn hops_mask(&self, path: &crate::Path) -> u64 {
-        path.hops.iter().fold(u64::MAX, |acc, &(g, pin)| acc & self.masks[g.index()][pin as usize])
+    /// The masks of every pin of node `node`, in pin order.
+    fn pins(&self, node: usize) -> &[u64] {
+        &self.masks[self.start[node] as usize..self.start[node + 1] as usize]
     }
 
     /// For one path: masks of pairs that robustly test its rising-launch
     /// and falling-launch faults (`(rising, falling)`, direction at the
     /// path's start).
     pub fn path_masks(&self, waves: &[LineWaves], path: &crate::Path) -> (u64, u64) {
-        let hops = self.hops_mask(path);
+        let hops = path.hops.iter().fold(u64::MAX, |acc, &(g, pin)| acc & self.pin_mask(g, pin));
         let start = waves[path.start.index()];
         (hops & start.rising(), hops & start.falling())
     }
@@ -63,31 +64,78 @@ impl RobustAnalysis {
     /// `detected` holds 2 bits per path: bit `2i` = rising at start of path
     /// `i`, bit `2i + 1` = falling.
     ///
+    /// Sets exactly the bits that folding [`path_masks`](Self::path_masks)
+    /// over every path would set, without visiting the paths one by one: a
+    /// depth-first walk from each output down the robustly sensitized
+    /// subgraph, on an explicit stack, carries the AND of the pin masks
+    /// from the output down and drops a whole range of paths the moment
+    /// that AND reaches zero. A primary input reached with a non-zero AND
+    /// closes exactly one path, whose launch transition it then checks.
+    ///
     /// Returns the number of newly detected path faults.
     ///
     /// # Panics
     ///
     /// Panics if `detected.len() != paths.len() * 2`.
     pub fn accumulate(&self, waves: &[LineWaves], paths: &PathSet, detected: &mut [bool]) -> usize {
-        assert_eq!(detected.len(), paths.len() * 2, "detection bitmap size mismatch");
-        let mut new = 0;
-        for (i, path) in paths.iter().enumerate() {
-            let need_r = !detected[2 * i];
-            let need_f = !detected[2 * i + 1];
-            if !need_r && !need_f {
-                continue;
+        let mut hits = Vec::new();
+        self.walk(waves, paths, detected, |fault| hits.push(fault));
+        for &fault in &hits {
+            detected[fault] = true;
+        }
+        hits.len()
+    }
+
+    /// Calls `hit`, in increasing order, with the index of every path delay
+    /// fault (numbered as in [`accumulate`](Self::accumulate)) that this
+    /// block robustly detects and `detected` does not hold yet: the walk
+    /// [`accumulate`](Self::accumulate) describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `detected.len() != paths.len() * 2`.
+    pub(crate) fn walk(
+        &self,
+        waves: &[LineWaves],
+        paths: &PathSet,
+        detected: &[bool],
+        mut hit: impl FnMut(usize),
+    ) {
+        assert_eq!(detected.len(), paths.fault_count(), "detection bitmap size mismatch");
+        // (node, AND of the pin masks above it, index of its first path)
+        let mut stack: Vec<(u32, u64, usize)> = Vec::new();
+        let mut first = 0;
+        for &o in paths.outputs() {
+            if paths.count(o) > 0 {
+                stack.push((o, u64::MAX, first));
             }
-            let (r, f) = self.path_masks(waves, path);
-            if need_r && r != 0 {
-                detected[2 * i] = true;
-                new += 1;
-            }
-            if need_f && f != 0 {
-                detected[2 * i + 1] = true;
-                new += 1;
+            first += paths.count(o);
+            while let Some((node, mask, base)) = stack.pop() {
+                let fanins = paths.fanins(node);
+                if fanins.is_empty() {
+                    let launch = waves[node as usize];
+                    if !detected[2 * base] && mask & launch.rising() != 0 {
+                        hit(2 * base);
+                    }
+                    if !detected[2 * base + 1] && mask & launch.falling() != 0 {
+                        hit(2 * base + 1);
+                    }
+                    continue;
+                }
+                let pins = self.pins(node as usize);
+                debug_assert_eq!(pins.len(), fanins.len(), "analysis of another circuit");
+                // Pushed last pin first, so ranges pop in index order.
+                let mut end = base + paths.count(node);
+                for (&f, &pin) in fanins.iter().zip(pins).rev() {
+                    let n = paths.count(f);
+                    end -= n;
+                    let m = mask & pin;
+                    if m != 0 && n != 0 {
+                        stack.push((f, m, end));
+                    }
+                }
             }
         }
-        new
     }
 }
 
@@ -98,16 +146,21 @@ impl RobustAnalysis {
 /// Panics if `waves.len() != circuit.len()`.
 pub fn robust_detection_masks(circuit: &Circuit, waves: &[LineWaves]) -> RobustAnalysis {
     assert_eq!(waves.len(), circuit.len(), "wave vector size mismatch");
-    let mut masks: Vec<Vec<u64>> = Vec::with_capacity(circuit.len());
-    for (_, node) in circuit.iter() {
+    let mut start = Vec::with_capacity(circuit.len() + 1);
+    let mut masks = Vec::with_capacity(circuit.fanin_count());
+    start.push(0);
+    for (id, node) in circuit.iter() {
         let kind = node.kind();
         let fanins = node.fanins();
-        let mut pin_masks = vec![0u64; fanins.len()];
+        // A transition propagates only where the gate output transitions:
+        // the side inputs' final values alone cannot rule out an output
+        // held static by a side input that was controlling on `v1`.
+        let out_t = waves[id.index()].transition();
         match kind {
             GateKind::Input | GateKind::Const0 | GateKind::Const1 => {}
             GateKind::Buf | GateKind::Not => {
                 // Unconditional propagation of a transition.
-                pin_masks[0] = waves[fanins[0].index()].transition();
+                masks.push(waves[fanins[0].index()].transition());
             }
             GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
                 let c = kind.controlling_value().expect("and/or family");
@@ -131,7 +184,9 @@ pub fn robust_detection_masks(circuit: &Circuit, waves: &[LineWaves]) -> RobustA
                     let final_nc = !(on.v2 ^ !c_mask);
                     // c -> c̄ on-path transition: side inputs steady nc.
                     // c̄ -> c: side inputs nc on final vector only.
-                    pin_masks[pin] = t & ((final_nc & all_steady_nc) | (!final_nc & all_final_nc));
+                    masks.push(
+                        t & out_t & ((final_nc & all_steady_nc) | (!final_nc & all_final_nc)),
+                    );
                 }
             }
             GateKind::Xor | GateKind::Xnor => {
@@ -146,13 +201,13 @@ pub fn robust_detection_masks(circuit: &Circuit, waves: &[LineWaves]) -> RobustA
                         let steady = !(side.v1 ^ side.v2);
                         all_steady_gf &= side.glitch_free & steady;
                     }
-                    pin_masks[pin] = on.transition() & all_steady_gf;
+                    masks.push(on.transition() & out_t & all_steady_gf);
                 }
             }
         }
-        masks.push(pin_masks);
+        start.push(masks.len() as u32);
     }
-    RobustAnalysis { masks }
+    RobustAnalysis { start, masks }
 }
 
 #[cfg(test)]
@@ -160,6 +215,7 @@ mod tests {
     use super::*;
     use crate::{enumerate_paths, TwoPatternSim};
     use sft_netlist::bench_format::parse;
+    use sft_netlist::Circuit;
 
     fn analyze(
         src: &str,
@@ -182,14 +238,22 @@ mod tests {
         // Rising a with steady b=1: robust for the a-path.
         let (_, waves, analysis, paths) = analyze(src, &[false, true], &[true, true]);
         let a_path = paths.iter().position(|p| p.hops[0].1 == 0).unwrap();
-        let (r, f) = analysis.path_masks(&waves, &paths.paths()[a_path]);
+        let (r, f) = analysis.path_masks(&waves, &paths.path(a_path));
         assert_eq!(r & 1, 1);
         assert_eq!(f & 1, 0);
-        // Falling a (final value controlling) with b rising late: the
-        // final-vector-only condition applies: b v2=1 suffices.
+        // Falling a (final value controlling) with b rising: y is 0 on
+        // both vectors, so nothing propagates.
         let (_, waves, analysis, paths) = analyze(src, &[true, false], &[false, true]);
-        let p = &paths.paths()[a_path];
-        let (r, f) = analysis.path_masks(&waves, p);
+        assert_eq!(analysis.path_masks(&waves, &paths.path(a_path)), (0, 0));
+        // Falling a with a side input that holds 1 through a static
+        // hazard: y falls, and the final-vector-only condition applies, so
+        // the hazard does not matter.
+        let src = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nt = OR(b, c)\ny = AND(a, t)\n";
+        let (c, waves, analysis, paths) = analyze(src, &[true, true, false], &[false, false, true]);
+        let t = waves[c.fanins(c.outputs()[0])[1].index()];
+        assert_eq!((t.v1 & 1, t.v2 & 1, t.glitch_free & 1), (1, 1, 0), "t is hazardous");
+        let a_path = paths.iter().position(|p| p.start == c.inputs()[0]).unwrap();
+        let (r, f) = analysis.path_masks(&waves, &paths.path(a_path));
         assert_eq!(f & 1, 1, "falling on-path with final nc side ok");
         assert_eq!(r & 1, 0);
     }
@@ -202,7 +266,7 @@ mod tests {
         let (c, waves, analysis, paths) = analyze(src, &[false, true, false], &[true, false, true]);
         let a = c.inputs()[0];
         let a_path = paths.iter().position(|p| p.start == a).unwrap();
-        let (r, _) = analysis.path_masks(&waves, &paths.paths()[a_path]);
+        let (r, _) = analysis.path_masks(&waves, &paths.path(a_path));
         assert_eq!(r & 1, 0, "hazardous side input breaks robustness");
     }
 
@@ -210,7 +274,7 @@ mod tests {
     fn inverter_chain_propagates() {
         let src = "INPUT(a)\nOUTPUT(y)\nt1 = NOT(a)\nt2 = NOT(t1)\ny = NOT(t2)\n";
         let (_, waves, analysis, paths) = analyze(src, &[false], &[true]);
-        let (r, f) = analysis.path_masks(&waves, &paths.paths()[0]);
+        let (r, f) = analysis.path_masks(&waves, &paths.path(0));
         assert_eq!(r & 1, 1);
         assert_eq!(f & 1, 0);
     }
@@ -222,12 +286,12 @@ mod tests {
         let (c, waves, analysis, paths) = analyze(src, &[false, true], &[true, true]);
         let a = c.inputs()[0];
         let pa = paths.iter().position(|p| p.start == a).unwrap();
-        let (r, _) = analysis.path_masks(&waves, &paths.paths()[pa]);
+        let (r, _) = analysis.path_masks(&waves, &paths.path(pa));
         assert_eq!(r & 1, 1);
         // Both transition: not robust for either path.
         let (_, waves, analysis, paths) = analyze(src, &[false, false], &[true, true]);
         for p in &paths {
-            let (r, f) = analysis.path_masks(&waves, p);
+            let (r, f) = analysis.path_masks(&waves, &p);
             assert_eq!(r & 1, 0);
             assert_eq!(f & 1, 0);
         }
@@ -244,6 +308,126 @@ mod tests {
         assert_eq!(n2, 0, "already-detected faults are not recounted");
     }
 
+    /// Checks [`RobustAnalysis::accumulate`] against the per-path fold of
+    /// [`RobustAnalysis::path_masks`] on `blocks` random pair blocks, each
+    /// from an empty bitmap and from two partly pre-filled ones.
+    fn assert_walk_matches_fold(c: &Circuit, blocks: u64) {
+        let paths = enumerate_paths(c, 1 << 22).unwrap();
+        let sim = TwoPatternSim::new(c);
+        for block in 0..blocks {
+            let (v1, v2) = crate::pair_block(0x5eed, block, c.inputs().len());
+            let waves = sim.simulate(&v1, &v2);
+            let analysis = robust_detection_masks(c, &waves);
+            let folded: Vec<(u64, u64)> =
+                paths.iter().map(|p| analysis.path_masks(&waves, &p)).collect();
+            for fill in 0..3u64 {
+                let pre: Vec<bool> = (0..paths.fault_count() as u64)
+                    .map(|i| match fill {
+                        0 => false,
+                        1 => i % 3 == 0,
+                        _ => i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 1,
+                    })
+                    .collect();
+                let mut expected = pre.clone();
+                let mut new = 0;
+                for (i, &(r, f)) in folded.iter().enumerate() {
+                    for (fault, mask) in [(2 * i, r), (2 * i + 1, f)] {
+                        if !expected[fault] && mask != 0 {
+                            expected[fault] = true;
+                            new += 1;
+                        }
+                    }
+                }
+                let mut got = pre;
+                assert_eq!(analysis.accumulate(&waves, &paths, &mut got), new, "{}", c.name());
+                assert!(
+                    got == expected,
+                    "{} block {block} fill {fill}: walk and fold differ",
+                    c.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn walk_matches_per_path_fold_on_random_dags() {
+        for seed in 0..40 {
+            assert_walk_matches_fold(&crate::paths::tests::random_dag(seed, 6, 40), 6);
+        }
+    }
+
+    #[test]
+    fn walk_matches_per_path_fold_on_irs_suite() {
+        for entry in sft_circuits::suite() {
+            assert_walk_matches_fold(&entry.circuit, 2);
+        }
+    }
+
+    /// Whatever the side-input rules, a pair that robustly tests a path
+    /// must carry the transition along all of it: every on-path gate
+    /// output transitions, and the end's final value is the launch's,
+    /// flipped by every inverting gate and by every parity gate whose
+    /// (steady) side inputs end at odd parity. Random circuits of up to 6
+    /// inputs and 9 gates over all eight gate kinds, 64 random pairs each.
+    #[test]
+    fn robust_claims_carry_the_transition_end_to_end() {
+        for seed in 0..400u64 {
+            let c = crate::paths::tests::random_dag(seed, 1 + seed as usize % 6, 9);
+            let (v1, v2) = crate::pair_block(seed, 0, c.inputs().len());
+            let waves = TwoPatternSim::new(&c).simulate(&v1, &v2);
+            let analysis = robust_detection_masks(&c, &waves);
+            for path in &enumerate_paths(&c, 10_000).unwrap() {
+                let (rising, falling) = analysis.path_masks(&waves, &path);
+                let claimed = rising | falling;
+                let mut flip = if path.inverts(&c) { u64::MAX } else { 0 };
+                for &(g, pin) in &path.hops {
+                    let t = waves[g.index()].transition();
+                    assert_eq!(t & claimed, claimed, "{}: {path} static at {g}", c.name());
+                    if matches!(c.kind(g), GateKind::Xor | GateKind::Xnor) {
+                        for (q, f) in c.fanins(g).iter().enumerate() {
+                            if q != pin as usize {
+                                flip ^= waves[f.index()].v2;
+                            }
+                        }
+                    }
+                }
+                let end = waves[path.end().index()].v2;
+                let expected = (rising & !flip) | (falling & flip);
+                assert_eq!(end & claimed, expected, "{}: {path} ends the wrong way", c.name());
+            }
+        }
+    }
+
+    /// A 20,000-gate XOR chain: the walk descends the full depth on its
+    /// explicit stack. Input `x0` rises in pair 0 and `x7` in pair 1, all
+    /// else steady, so exactly the rising faults of paths 0 and 7 (the
+    /// paths from `x0` and `x7`) are robustly detected.
+    #[test]
+    fn walk_survives_a_deep_chain() {
+        const DEPTH: usize = 20_000;
+        let mut c = Circuit::new("chain");
+        let x: Vec<_> = (0..=DEPTH).map(|i| c.add_input(format!("x{i}"))).collect();
+        let mut g = c.add_gate(GateKind::Buf, vec![x[0]]).unwrap();
+        for &xi in &x[1..] {
+            g = c.add_gate(GateKind::Xor, vec![g, xi]).unwrap();
+        }
+        c.add_output(g, "y");
+        let paths = enumerate_paths(&c, 1 << 20).unwrap();
+        assert_eq!(paths.len(), DEPTH + 1);
+        assert_eq!(paths.path(0).gate_count(), DEPTH + 1);
+        assert_eq!(paths.path(7).start, x[7]);
+        let mut v2 = vec![0u64; DEPTH + 1];
+        v2[0] = 0b01;
+        v2[7] = 0b10;
+        let waves = TwoPatternSim::new(&c).simulate(&vec![0; DEPTH + 1], &v2);
+        let analysis = robust_detection_masks(&c, &waves);
+        let mut detected = vec![false; paths.fault_count()];
+        assert_eq!(analysis.accumulate(&waves, &paths, &mut detected), 2);
+        let hits: Vec<usize> = (0..detected.len()).filter(|&i| detected[i]).collect();
+        assert_eq!(hits, [0, 14]);
+        assert_eq!(analysis.path_masks(&waves, &paths.path(7)), (0b10, 0));
+    }
+
     /// Cross-check against a brute-force delay-assignment simulator on a
     /// tiny circuit: if our analysis says "robust", then for several random
     /// gate-delay assignments the sampled output value at the end of the
@@ -255,7 +439,7 @@ mod tests {
         let (c, waves, analysis, paths) = analyze(src, &[false, true, false], &[true, true, false]);
         let a = c.inputs()[0];
         let idx = paths.iter().position(|p| p.start == a).unwrap();
-        let (r, _) = analysis.path_masks(&waves, &paths.paths()[idx]);
+        let (r, _) = analysis.path_masks(&waves, &paths.path(idx));
         assert_eq!(r & 1, 1);
         // Under ANY delay assignment, with v2 applied, the good output is 1
         // and the only way it is still 0 at sample time is the a->t->y path

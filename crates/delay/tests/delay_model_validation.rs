@@ -105,7 +105,7 @@ fn validate_circuit(src: &str, name: &str, pairs: u32, delay_trials: u32, seed: 
         let analysis = robust_detection_masks(&c, &waves);
 
         for path in &paths {
-            let (r, f) = analysis.path_masks(&waves, path);
+            let (r, f) = analysis.path_masks(&waves, &path);
             if (r | f) & 1 == 0 {
                 continue; // not claimed robust for this pair
             }
@@ -127,7 +127,7 @@ fn validate_circuit(src: &str, name: &str, pairs: u32, delay_trials: u32, seed: 
                     delays[g.index()][pin as usize] += 64;
                 }
                 let tsim = TimedSim::new(&c, delays.clone());
-                let slow = path_delay(path, &delays);
+                let slow = path_delay(&path, &delays);
                 let settle = tsim.settle_time();
                 // Sample after everything except the slow path could have
                 // settled but before the slow path's transition arrives.
@@ -192,7 +192,7 @@ INPUT(a)\nINPUT(b)\nOUTPUT(y)\nnb = NOT(b)\nt1 = AND(a, b)\nt2 = AND(a, nb)\ny =
     let analysis = robust_detection_masks(&c, &waves);
     let b = c.inputs()[1];
     for path in paths.iter().filter(|p| p.start == b) {
-        let (r, f) = analysis.path_masks(&waves, path);
+        let (r, f) = analysis.path_masks(&waves, &path);
         assert_eq!(r & 1, 0, "{path}");
         assert_eq!(f & 1, 0, "{path}");
     }

@@ -126,7 +126,7 @@ fn nonenumerative_pdf_count_agrees_on_adder() {
         let slow: u128 = paths
             .iter()
             .map(|p| {
-                let (r, f) = analysis.path_masks(&waves, p);
+                let (r, f) = analysis.path_masks(&waves, &p);
                 u128::from((r | f) >> bit & 1)
             })
             .sum();
